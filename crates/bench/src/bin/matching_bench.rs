@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use sbomdiff_bench::matching_corpus::sbom_pair;
+use sbomdiff_bench::{median, stats};
 use sbomdiff_matching::{match_sboms, MatchConfig};
 use sbomdiff_textformats::{json, Value};
 
@@ -66,34 +67,6 @@ fn parse_args() -> Args {
         usage();
     }
     args
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    }
-}
-
-fn stats(samples: &[f64]) -> Value {
-    let mut v = Value::object();
-    v.set("median", Value::from(median(samples.to_vec())));
-    v.set(
-        "min",
-        Value::from(samples.iter().cloned().fold(f64::INFINITY, f64::min)),
-    );
-    v.set(
-        "max",
-        Value::from(samples.iter().cloned().fold(0.0f64, f64::max)),
-    );
-    v.set(
-        "samples",
-        Value::Array(samples.iter().map(|s| Value::from(*s)).collect()),
-    );
-    v
 }
 
 fn main() {

@@ -28,6 +28,7 @@
 
 use std::time::Instant;
 
+use sbomdiff_bench::{median, stats};
 use sbomdiff_corpus::{Corpus, CorpusConfig};
 use sbomdiff_diff::{jaccard, key_set};
 use sbomdiff_generators::{studied_tools, ParseCache, ScanContext, ToolEmulator};
@@ -146,16 +147,6 @@ fn pairwise(cells: &[Sbom]) -> f64 {
     sum
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    }
-}
-
 fn time_ms(mut f: impl FnMut() -> (usize, f64), iters: usize) -> (Vec<f64>, usize) {
     // One untimed warm-up pass so lazy one-time work (registry memos,
     // global interner fill) does not land in the first sample.
@@ -168,24 +159,6 @@ fn time_ms(mut f: impl FnMut() -> (usize, f64), iters: usize) -> (Vec<f64>, usiz
         samples.push(start.elapsed().as_secs_f64() * 1e3);
     }
     (samples, components)
-}
-
-fn stats(samples: &[f64]) -> Value {
-    let mut v = Value::object();
-    v.set("median", Value::from(median(samples.to_vec())));
-    v.set(
-        "min",
-        Value::from(samples.iter().cloned().fold(f64::INFINITY, f64::min)),
-    );
-    v.set(
-        "max",
-        Value::from(samples.iter().cloned().fold(0.0f64, f64::max)),
-    );
-    v.set(
-        "samples",
-        Value::Array(samples.iter().map(|s| Value::from(*s)).collect()),
-    );
-    v
 }
 
 fn main() {

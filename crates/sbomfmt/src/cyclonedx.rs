@@ -1,6 +1,6 @@
-//! CycloneDX 1.5 JSON serialization and parsing.
+//! CycloneDX 1.5 JSON serialization; [`crate::ingest`] reads it back.
 
-use sbomdiff_textformats::{json, TextError, Value};
+use sbomdiff_textformats::{json, Value};
 use sbomdiff_types::{Component, Cpe, Ecosystem, Purl, Sbom};
 
 pub(crate) const PROP_ECOSYSTEM: &str = "sbomdiff:ecosystem";
@@ -8,10 +8,8 @@ pub(crate) const PROP_FOUND_IN: &str = "sbomdiff:found_in";
 pub(crate) const PROP_DEP_SCOPE: &str = "sbomdiff:dependency_scope";
 
 /// Raw string fields of one CycloneDX component entry, before semantic
-/// conversion. Both the in-memory parser below and the streaming ingester
-/// materialize through [`RawCdxComponent::into_component`], so the two
-/// paths cannot drift apart — the property the round-trip differential
-/// suite asserts.
+/// conversion; the ingester materializes each entry through
+/// [`RawCdxComponent::into_component`].
 #[derive(Debug, Default)]
 pub(crate) struct RawCdxComponent {
     pub(crate) name: Option<String>,
@@ -154,74 +152,6 @@ pub fn to_string_pretty(sbom: &Sbom) -> String {
     json::to_string_pretty(&to_value(sbom))
 }
 
-/// Parses a CycloneDX JSON document.
-///
-/// # Errors
-///
-/// Returns [`TextError`] on malformed JSON or a non-CycloneDX document.
-pub fn from_str(text: &str) -> Result<Sbom, TextError> {
-    let doc = json::parse(text)?;
-    if doc.get("bomFormat").and_then(Value::as_str) != Some("CycloneDX") {
-        return Err(TextError::new(0, "not a CycloneDX document"));
-    }
-    // `tools` is an array of tool objects in CycloneDX 1.4 and an object
-    // holding a `components` array in the 1.5 shape; accept both.
-    let tool_name = doc
-        .pointer("metadata/tools/0/name")
-        .or_else(|| doc.pointer("metadata/tools/components/0/name"))
-        .and_then(Value::as_str)
-        .unwrap_or("unknown")
-        .to_string();
-    let tool_version = doc
-        .pointer("metadata/tools/0/version")
-        .or_else(|| doc.pointer("metadata/tools/components/0/version"))
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_string();
-    let subject = doc
-        .pointer("metadata/component/name")
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_string();
-    let mut sbom = Sbom::new(tool_name, tool_version).with_subject(subject);
-    sbom.meta.timestamp = doc
-        .pointer("metadata/timestamp")
-        .and_then(Value::as_str)
-        .map(str::to_string);
-    if let Some(components) = doc.get("components").and_then(Value::as_array) {
-        for comp in components {
-            let mut raw = RawCdxComponent {
-                name: comp.get("name").and_then(Value::as_str).map(str::to_string),
-                version: comp
-                    .get("version")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                purl: comp.get("purl").and_then(Value::as_str).map(str::to_string),
-                cpe: comp.get("cpe").and_then(Value::as_str).map(str::to_string),
-                publisher: comp
-                    .get("publisher")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                properties: Vec::new(),
-            };
-            if let Some(props) = comp.get("properties").and_then(Value::as_array) {
-                for p in props {
-                    if let (Some(pname), Some(pvalue)) = (
-                        p.get("name").and_then(Value::as_str),
-                        p.get("value").and_then(Value::as_str),
-                    ) {
-                        raw.properties.push((pname.to_string(), pvalue.to_string()));
-                    }
-                }
-            }
-            if let Some(c) = raw.into_component() {
-                sbom.push(c);
-            }
-        }
-    }
-    Ok(sbom)
-}
-
 /// Deterministic pseudo-UUID from tool and subject (FNV-1a based), so
 /// repeated runs produce identical documents.
 fn deterministic_uuid(tool: &str, subject: &str) -> String {
@@ -244,6 +174,7 @@ fn deterministic_uuid(tool: &str, subject: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbomFormat;
     use sbomdiff_types::DepScope;
 
     fn sample() -> Sbom {
@@ -270,7 +201,7 @@ mod tests {
     fn roundtrip() {
         let original = sample();
         let text = to_string_pretty(&original);
-        let back = from_str(&text).unwrap();
+        let back = SbomFormat::CycloneDx.parse(&text).unwrap();
         assert_eq!(back.meta.tool_name, "syft");
         assert_eq!(back.meta.subject, "demo-repo");
         assert_eq!(back.len(), 2);
@@ -327,7 +258,8 @@ mod tests {
 
     #[test]
     fn rejects_non_cyclonedx() {
-        assert!(from_str("{\"spdxVersion\": \"SPDX-2.3\"}").is_err());
-        assert!(from_str("broken").is_err());
+        let parse = |text| SbomFormat::CycloneDx.parse(text);
+        assert!(parse("{\"spdxVersion\": \"SPDX-2.3\"}").is_err());
+        assert!(parse("broken").is_err());
     }
 }

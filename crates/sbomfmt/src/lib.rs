@@ -1,10 +1,12 @@
-//! SBOM document formats: CycloneDX 1.5 JSON and SPDX 2.3 JSON.
+//! SBOM document formats: CycloneDX JSON, SPDX JSON and SPDX tag-value.
 //!
-//! The studied tools emit one of these two formats (§III-B); the
-//! differential engine extracts dependencies back out of them. Both
-//! serializers are deterministic (no timestamps or random serials — document
-//! identity derives from tool + subject) so experiment outputs are
-//! reproducible byte-for-byte.
+//! The studied tools emit one of these formats (§III-B); the differential
+//! engine extracts dependencies back out of them. Both directions have one
+//! implementation each: the per-format serializers, which are
+//! deterministic (no timestamps or random serials — document identity
+//! derives from tool + subject) so experiment outputs are reproducible
+//! byte-for-byte, and the streaming [`ingest`] reader, which every surface
+//! reads documents through.
 //!
 //! §V-F notes current SBOM formats lack a dependency-scope field; we carry
 //! scope through a vendor property (CycloneDX `properties`, SPDX
@@ -36,15 +38,31 @@ pub(crate) fn scope_from_label(label: &str) -> Option<DepScope> {
 /// The SBOM interchange formats supported by the studied tools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SbomFormat {
-    /// OWASP CycloneDX 1.5 (JSON).
+    /// OWASP CycloneDX JSON (emitted as 1.5, read as 1.4/1.5).
     CycloneDx,
-    /// ISO/IEC 5962 SPDX 2.3 (JSON).
+    /// ISO/IEC 5962 SPDX JSON (emitted as 2.3, read as 2.2/2.3).
     Spdx,
-    /// SPDX 2.3 tag-value (the `SPDXVersion: ...` line format).
+    /// SPDX tag-value (the `SPDXVersion: ...` line format).
     SpdxTagValue,
 }
 
 impl SbomFormat {
+    /// Every format, in metrics-label order.
+    pub const ALL: [SbomFormat; 3] = [
+        SbomFormat::CycloneDx,
+        SbomFormat::Spdx,
+        SbomFormat::SpdxTagValue,
+    ];
+
+    /// Stable label used as the metrics `format` label and in API output.
+    pub fn label(self) -> &'static str {
+        match self {
+            SbomFormat::CycloneDx => "cyclonedx",
+            SbomFormat::Spdx => "spdx-json",
+            SbomFormat::SpdxTagValue => "spdx-tag-value",
+        }
+    }
+
     /// Serializes an SBOM in this format.
     pub fn serialize(self, sbom: &Sbom) -> String {
         match self {
@@ -54,42 +72,38 @@ impl SbomFormat {
         }
     }
 
-    /// Parses a document in this format back into an SBOM.
+    /// Parses a document in this format back into an SBOM, through
+    /// [`ingest::ingest_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`TextError`] when the document is malformed or not of this
-    /// format.
+    /// Returns [`TextError`] when ingestion fails (at the line of the fatal
+    /// diagnostic, when it has one) or the document is in another format.
     pub fn parse(self, text: &str) -> Result<Sbom, TextError> {
-        match self {
-            SbomFormat::CycloneDx => cyclonedx::from_str(text),
-            SbomFormat::Spdx => spdx::from_str(text),
-            SbomFormat::SpdxTagValue => tagvalue::from_str(text),
+        let outcome = ingest::ingest_bytes(text.as_bytes());
+        if let Some(fatal) = outcome.fatal {
+            return Err(TextError::new(
+                fatal.line.map_or(0, |l| l as usize),
+                fatal.message,
+            ));
+        }
+        match outcome.format {
+            Some(found) if found == self => Ok(outcome.sbom),
+            found => Err(TextError::new(
+                0,
+                format!(
+                    "not a {} document (found {})",
+                    self.label(),
+                    found.map_or("none", SbomFormat::label)
+                ),
+            )),
         }
     }
 
-    /// Sniffs the format of a document.
+    /// Sniffs the format of a document: the format it ingests as, `None`
+    /// when it does not ingest.
     pub fn detect(text: &str) -> Option<SbomFormat> {
-        if let Ok(doc) = sbomdiff_textformats::json::parse(text) {
-            if doc.get("bomFormat").and_then(|v| v.as_str()) == Some("CycloneDX") {
-                return Some(SbomFormat::CycloneDx);
-            }
-            if doc
-                .get("spdxVersion")
-                .and_then(|v| v.as_str())
-                .is_some_and(|v| v.starts_with("SPDX-"))
-            {
-                return Some(SbomFormat::Spdx);
-            }
-            return None;
-        }
-        if text
-            .lines()
-            .any(|l| l.trim_start().starts_with("SPDXVersion:"))
-        {
-            return Some(SbomFormat::SpdxTagValue);
-        }
-        None
+        ingest::ingest_bytes(text.as_bytes()).format
     }
 }
 
@@ -111,10 +125,9 @@ mod tests {
     #[test]
     fn detect_formats() {
         let s = sample();
-        let cdx = SbomFormat::CycloneDx.serialize(&s);
-        let spdx = SbomFormat::Spdx.serialize(&s);
-        assert_eq!(SbomFormat::detect(&cdx), Some(SbomFormat::CycloneDx));
-        assert_eq!(SbomFormat::detect(&spdx), Some(SbomFormat::Spdx));
+        for format in SbomFormat::ALL {
+            assert_eq!(SbomFormat::detect(&format.serialize(&s)), Some(format));
+        }
         assert_eq!(SbomFormat::detect("{}"), None);
         assert_eq!(SbomFormat::detect("not json"), None);
     }
@@ -123,6 +136,22 @@ mod tests {
     fn cross_parse_errors() {
         let s = sample();
         let cdx = SbomFormat::CycloneDx.serialize(&s);
-        assert!(SbomFormat::Spdx.parse(&cdx).is_err());
+        let err = SbomFormat::Spdx.parse(&cdx).unwrap_err();
+        assert_eq!(err.message(), "not a spdx-json document (found cyclonedx)");
+        assert!(SbomFormat::CycloneDx.parse(&cdx).is_ok());
+    }
+
+    #[test]
+    fn parse_errors_keep_the_fatal_line() {
+        let err = SbomFormat::CycloneDx
+            .parse("{\n  \"bomFormat\": \"CycloneDX\",\n  oops\n}")
+            .unwrap_err();
+        assert_eq!(err.line(), 3, "{err}");
+    }
+
+    #[test]
+    fn format_labels_are_stable() {
+        let labels: Vec<&str> = SbomFormat::ALL.iter().map(|f| f.label()).collect();
+        assert_eq!(labels, vec!["cyclonedx", "spdx-json", "spdx-tag-value"]);
     }
 }

@@ -1,12 +1,13 @@
-//! SPDX 2.3 JSON serialization and parsing.
+//! SPDX 2.3 JSON serialization; [`crate::ingest`] reads it back.
 
-use sbomdiff_textformats::{json, TextError, Value};
+use sbomdiff_textformats::{json, Value};
 use sbomdiff_types::{Component, Cpe, Ecosystem, Purl, Sbom};
 
 /// Raw string fields of one SPDX package entry, before semantic
-/// conversion. The in-memory JSON parser, the tag-value parser and the
-/// streaming ingester all materialize through
-/// [`RawSpdxPackage::into_component`], so the paths cannot drift apart.
+/// conversion. The ingester materializes SPDX JSON packages and the
+/// tag-value [`Builder`](crate::tagvalue::Builder) its packages through
+/// [`RawSpdxPackage::into_component`], so the two SPDX forms cannot drift
+/// apart.
 #[derive(Debug, Default)]
 pub(crate) struct RawSpdxPackage {
     pub(crate) name: Option<String>,
@@ -80,7 +81,7 @@ impl RawSpdxPackage {
 }
 
 /// Splits a `"Tool: {name}-{version}"` creator into `(name, version)`,
-/// falling back to `("unknown", "")` exactly like the JSON parser.
+/// falling back to `("unknown", "")`.
 pub(crate) fn creator_tool(creator: &str) -> (String, String) {
     creator
         .strip_prefix("Tool: ")
@@ -190,71 +191,10 @@ pub fn to_string_pretty(sbom: &Sbom) -> String {
     json::to_string_pretty(&to_value(sbom))
 }
 
-/// Parses an SPDX JSON document.
-///
-/// # Errors
-///
-/// Returns [`TextError`] on malformed JSON or a non-SPDX document.
-pub fn from_str(text: &str) -> Result<Sbom, TextError> {
-    let doc = json::parse(text)?;
-    let spdx_version = doc.get("spdxVersion").and_then(Value::as_str);
-    if !spdx_version.is_some_and(|v| v.starts_with("SPDX-")) {
-        return Err(TextError::new(0, "not an SPDX document"));
-    }
-    let creator = doc
-        .pointer("creationInfo/creators/0")
-        .and_then(Value::as_str)
-        .unwrap_or("");
-    let (tool_name, tool_version) = creator_tool(creator);
-    let subject = subject_from_doc_name(
-        doc.get("name").and_then(Value::as_str).unwrap_or(""),
-        &tool_name,
-    );
-    let mut sbom = Sbom::new(tool_name, tool_version).with_subject(subject);
-    sbom.meta.timestamp = doc
-        .pointer("creationInfo/created")
-        .and_then(Value::as_str)
-        .map(str::to_string);
-    if let Some(packages) = doc.get("packages").and_then(Value::as_array) {
-        for pkg in packages {
-            let mut raw = RawSpdxPackage {
-                name: pkg.get("name").and_then(Value::as_str).map(str::to_string),
-                version: pkg
-                    .get("versionInfo")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                source_info: pkg
-                    .get("sourceInfo")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                supplier: pkg
-                    .get("supplier")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                refs: Vec::new(),
-            };
-            if let Some(refs) = pkg.get("externalRefs").and_then(Value::as_array) {
-                for r in refs {
-                    if let Some(rtype) = r.get("referenceType").and_then(Value::as_str) {
-                        let locator = r
-                            .get("referenceLocator")
-                            .and_then(Value::as_str)
-                            .map(str::to_string);
-                        raw.refs.push((rtype.to_string(), locator));
-                    }
-                }
-            }
-            if let Some(c) = raw.into_component() {
-                sbom.push(c);
-            }
-        }
-    }
-    Ok(sbom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbomFormat;
     use sbomdiff_types::DepScope;
 
     fn sample() -> Sbom {
@@ -281,7 +221,7 @@ mod tests {
     fn roundtrip() {
         let original = sample();
         let text = to_string_pretty(&original);
-        let back = from_str(&text).unwrap();
+        let back = SbomFormat::Spdx.parse(&text).unwrap();
         assert_eq!(back.meta.tool_name, "trivy");
         assert_eq!(back.meta.tool_version, "0.43.0");
         assert_eq!(back.meta.subject, "demo-repo");
@@ -334,7 +274,8 @@ mod tests {
 
     #[test]
     fn rejects_non_spdx() {
-        assert!(from_str("{\"bomFormat\": \"CycloneDX\"}").is_err());
-        assert!(from_str("[]").is_err());
+        let parse = |text| SbomFormat::Spdx.parse(text);
+        assert!(parse("{\"bomFormat\": \"CycloneDX\"}").is_err());
+        assert!(parse("[]").is_err());
     }
 }

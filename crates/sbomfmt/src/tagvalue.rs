@@ -1,4 +1,5 @@
-//! SPDX 2.3 tag-value serialization and parsing.
+//! SPDX 2.3 tag-value serialization and the line parser the ingester reads
+//! it with.
 //!
 //! The tag-value format is the original SPDX wire form: one `Tag: value`
 //! pair per line, with `<text>...</text>` spans for multi-line values and
@@ -7,9 +8,9 @@
 //!
 //! Parsing is line-oriented through [`Builder`] so the streaming ingester
 //! can feed lines from a bounded [`LineReader`] without materializing the
-//! document, while [`from_str`] feeds the same builder from a `&str` —
-//! both paths share [`RawSpdxPackage::into_component`] with the JSON
-//! parser, so the three SPDX surfaces cannot drift apart.
+//! document; packages materialize through the same
+//! [`RawSpdxPackage::into_component`] as SPDX JSON packages, so the two
+//! SPDX forms cannot drift apart.
 //!
 //! [`LineReader`]: sbomdiff_textformats::stream::LineReader
 //! [`RawSpdxPackage::into_component`]: crate::spdx::RawSpdxPackage
@@ -255,23 +256,15 @@ impl Builder {
     }
 }
 
-/// Parses an SPDX tag-value document.
-///
-/// # Errors
-///
-/// Returns [`TextError`] on malformed lines or a non-SPDX document.
-pub fn from_str(text: &str) -> Result<Sbom, TextError> {
-    let mut b = Builder::new();
-    for line in text.lines() {
-        b.line(line)?;
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbomFormat;
     use sbomdiff_types::{Component, Cpe, DepScope, Ecosystem, Purl};
+
+    fn parse(text: &str) -> Result<Sbom, TextError> {
+        SbomFormat::SpdxTagValue.parse(text)
+    }
 
     fn sample() -> Sbom {
         let mut sbom = Sbom::new("trivy", "0.43.0")
@@ -296,7 +289,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let text = to_string(&sample());
-        let back = from_str(&text).unwrap();
+        let back = parse(&text).unwrap();
         assert_eq!(back.meta.tool_name, "trivy");
         assert_eq!(back.meta.tool_version, "0.43.0");
         assert_eq!(back.meta.subject, "demo-repo");
@@ -317,11 +310,13 @@ mod tests {
 
     #[test]
     fn roundtrip_matches_json_parse() {
-        // The tag-value and JSON forms of the same SBOM must re-ingest to
-        // the same component set (differential property across surfaces).
+        // The tag-value and JSON forms of the same SBOM must read back to
+        // the same component set (differential property across forms).
         let s = sample();
-        let via_tv = from_str(&to_string(&s)).unwrap();
-        let via_json = crate::spdx::from_str(&crate::spdx::to_string_pretty(&s)).unwrap();
+        let via_tv = parse(&to_string(&s)).unwrap();
+        let via_json = SbomFormat::Spdx
+            .parse(&crate::spdx::to_string_pretty(&s))
+            .unwrap();
         assert_eq!(via_tv.components(), via_json.components());
         assert_eq!(via_tv.meta.tool_name, via_json.meta.tool_name);
         assert_eq!(via_tv.meta.subject, via_json.meta.subject);
@@ -336,7 +331,7 @@ mod tests {
     #[test]
     fn tolerates_comments_and_unknown_tags() {
         let text = "# comment\nSPDXVersion: SPDX-2.2\n\nLicenseListVersion: 3.19\nPackageName: left-pad\nPackageVersion: 1.3.0\n";
-        let sbom = from_str(text).unwrap();
+        let sbom = parse(text).unwrap();
         assert_eq!(sbom.len(), 1);
         assert_eq!(sbom.components()[0].name, "left-pad");
         assert_eq!(sbom.components()[0].version.as_deref(), Some("1.3.0"));
@@ -346,31 +341,31 @@ mod tests {
     #[test]
     fn multiline_text_span() {
         let text = "SPDXVersion: SPDX-2.3\nPackageName: a\nPackageSourceInfo: <text>ecosystem: npm;\nfound_in: package.json</text>\n";
-        let sbom = from_str(text).unwrap();
+        let sbom = parse(text).unwrap();
         assert_eq!(sbom.components()[0].ecosystem, Ecosystem::JavaScript);
         assert_eq!(sbom.components()[0].found_in, "package.json");
     }
 
     #[test]
     fn missing_colon_is_an_error_with_line() {
-        let err = from_str("SPDXVersion: SPDX-2.3\nnot a tag line\n").unwrap_err();
+        let err = parse("SPDXVersion: SPDX-2.3\nnot a tag line\n").unwrap_err();
         assert_eq!(err.line(), 2);
     }
 
     #[test]
     fn malformed_external_ref_is_an_error() {
         let text = "SPDXVersion: SPDX-2.3\nPackageName: a\nExternalRef: purl-only\n";
-        assert!(from_str(text).is_err());
+        assert!(parse(text).is_err());
     }
 
     #[test]
     fn unterminated_text_is_an_error() {
-        assert!(from_str("SPDXVersion: SPDX-2.3\nPackageSourceInfo: <text>open\n").is_err());
+        assert!(parse("SPDXVersion: SPDX-2.3\nPackageSourceInfo: <text>open\n").is_err());
     }
 
     #[test]
     fn rejects_non_spdx() {
-        assert!(from_str("{\"bomFormat\": \"CycloneDX\"}").is_err());
-        assert!(from_str("").is_err());
+        assert!(parse("{\"bomFormat\": \"CycloneDX\"}").is_err());
+        assert!(parse("").is_err());
     }
 }

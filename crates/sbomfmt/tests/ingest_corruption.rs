@@ -1,14 +1,16 @@
 //! Corruption/fuzz suite for the streaming SBOM ingester.
 //!
-//! The ingester is the service's front door for arbitrary externally
-//! generated documents, so it must never panic, must classify every
-//! failure into a typed diagnostic, and must hold its peak buffering
-//! under a hard cap no matter what bytes arrive. This suite mangles
-//! valid documents — exhaustive truncation, deterministic bit flips,
-//! invalid UTF-8 splices, deep-nesting bombs, pathological string
-//! lengths — and asserts all three properties on every mutant, plus
-//! streaming self-consistency (tiny chunks vs one-shot ingestion agree
-//! byte-for-byte) whenever a mutant still parses.
+//! The ingester is the only SBOM reader — `SbomFormat::parse`/`detect`,
+//! the CLI and every service endpoint read through it — and the service's
+//! front door for arbitrary externally generated documents, so it must
+//! never panic, must classify every failure into a typed diagnostic, and
+//! must hold its peak buffering under a hard cap no matter what bytes
+//! arrive. This suite mangles valid documents — exhaustive truncation,
+//! deterministic bit flips, invalid UTF-8 splices, deep-nesting bombs,
+//! pathological string lengths — and asserts all three properties on
+//! every mutant, plus, whenever a mutant still parses, that it
+//! re-serializes without panicking and that streaming is self-consistent
+//! (tiny chunks vs one-shot ingestion agree byte-for-byte).
 //!
 //! Deterministic by construction: fixed seeds, fixed iteration counts.
 //! `INGEST_FUZZ_BUDGET` scales the mutation count (CI smoke uses a
@@ -72,10 +74,20 @@ fn valid_documents() -> Vec<String> {
 }
 
 /// Ingests a mutant under a panic boundary and asserts the universal
-/// invariants: no panic, classified fatal (if any), bounded buffering.
+/// invariants: no panic, classified fatal (if any), bounded buffering, and
+/// a parsed mutant re-serializes in every format without panicking (the
+/// service echoes documents back).
 fn probe(bytes: &[u8]) -> IngestOutcome {
-    let outcome = catch_unwind(AssertUnwindSafe(|| ingest_bytes(bytes)))
-        .unwrap_or_else(|_| panic!("ingest panicked on {} mutated bytes", bytes.len()));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = ingest_bytes(bytes);
+        if outcome.fatal.is_none() {
+            for format in SbomFormat::ALL {
+                format.serialize(&outcome.sbom);
+            }
+        }
+        outcome
+    }))
+    .unwrap_or_else(|_| panic!("ingest panicked on {} mutated bytes", bytes.len()));
     assert!(
         outcome.stats.peak_buffered <= PEAK_CAP,
         "peak buffering {} over cap {PEAK_CAP}",
@@ -216,6 +228,13 @@ fn pathological_string_lengths_hit_the_token_cap() {
     let fatal = outcome.fatal.expect("oversized token must be fatal");
     assert_eq!(fatal.class, DiagClass::UnsupportedSyntax);
 
+    // A run of escapes decodes inside the tokenizer's escape loop; the cap
+    // holds there too.
+    let doc = format!("{{\"bomFormat\":\"{}\"}}", "\\ud83d".repeat(MAX_TOKEN / 2));
+    let outcome = probe(doc.as_bytes());
+    let fatal = outcome.fatal.expect("oversized token must be fatal");
+    assert_eq!(fatal.class, DiagClass::UnsupportedSyntax);
+
     // An endless unterminated string must also terminate at the cap
     // rather than buffering the whole input.
     let mut doc = String::from("{\"bomFormat\":\"");
@@ -260,5 +279,37 @@ fn splice_and_delete_mutations_keep_all_invariants() {
                 assert_stream_consistent(&bytes, &outcome);
             }
         }
+    }
+}
+
+#[test]
+fn pathological_inputs_are_classified() {
+    let deep_open = "[".repeat(100_000);
+    let deep_mixed = "{\"a\":".repeat(50_000);
+    let long_string = format!("{{\"bomFormat\":\"{}\"", "x".repeat(1_000_000));
+    let nul_heavy = "\u{0}".repeat(4096);
+    for case in [
+        deep_open.as_str(),
+        deep_mixed.as_str(),
+        long_string.as_str(),
+        nul_heavy.as_str(),
+        "\u{feff}{\"bomFormat\":\"CycloneDX\"}",
+        "{\"bomFormat\": 3.0e309}",
+        "{\"components\": [null]}",
+    ] {
+        let outcome = probe(case.as_bytes());
+        assert!(outcome.fatal.is_some(), "{:?}", &case[..case.len().min(40)]);
+    }
+}
+
+#[test]
+fn uncorrupted_documents_round_trip() {
+    // Sanity: mutants start from documents that ingest and re-serialize
+    // byte-identically. Only the JSON forms: tag-value cannot spell the
+    // awkward SBOM's multi-line tool version.
+    for doc in valid_documents().into_iter().filter(|d| d.starts_with('{')) {
+        let outcome = probe(doc.as_bytes());
+        let format = outcome.format.expect("corpus doc ingests");
+        assert_eq!(format.serialize(&outcome.sbom), doc);
     }
 }

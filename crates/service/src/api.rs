@@ -555,15 +555,37 @@ fn failed_tool_sbom(id: ToolId, subject: &str, message: String) -> Sbom {
     sbom
 }
 
-/// `POST /v1/diff`: two serialized SBOM documents → differential report.
-///
-/// Documents flow through the streaming ingester, so any externally
-/// produced CycloneDX 1.4/1.5 JSON, SPDX 2.2/2.3 JSON, or SPDX tag-value
-/// document is accepted — the two sides need not share a format. A
-/// genuinely malformed document is a 400 with its classified diagnostic;
-/// an injected ingestion fault degrades into a 200, mirroring
+/// Reads one request document through the streaming ingester, the one
+/// SBOM reader behind `/v1/diff` and `/v1/impact`, and records the ingest
+/// metrics. Any externally produced CycloneDX 1.4/1.5 JSON, SPDX 2.2/2.3
+/// JSON, or SPDX tag-value document is accepted. A genuinely malformed
+/// document is a 400 naming `document` with its classified diagnostic. An
+/// injected `ingest.doc` fault comes back as an `Ok` outcome that still
+/// carries its fatal diagnostic: the caller degrades into a 200, mirroring
 /// `/v1/analyze`, so chaos soaks see availability rather than client
 /// errors.
+fn ingest_doc(
+    state: &AppState,
+    document: &str,
+    text: &str,
+) -> Result<ingest::IngestOutcome, Response> {
+    let outcome = ingest::ingest_bytes(text.as_bytes());
+    state
+        .metrics
+        .record_ingest(outcome.format, outcome.stats.bytes_read);
+    match &outcome.fatal {
+        Some(fatal) if !fault::is_injected(&fatal.message) => Err(Response::error(
+            400,
+            &format!("document {document}: {}", fatal.message),
+        )),
+        _ => Ok(outcome),
+    }
+}
+
+/// `POST /v1/diff`: two serialized SBOM documents → differential report.
+///
+/// Both documents are read by [`ingest_doc`]; the two sides need not share
+/// a format.
 ///
 /// With `"match": "tiered"` the response additionally carries the
 /// multi-tier matcher's view (`jaccard_exact` vs `jaccard_matched`, the
@@ -587,26 +609,13 @@ fn diff(state: &AppState, doc: &Value) -> Response {
     };
     let mut outcomes = Vec::with_capacity(2);
     for (label, text) in [("a", a_text), ("b", b_text)] {
-        let outcome = ingest::ingest_bytes(text.as_bytes());
-        state
-            .metrics
-            .record_ingest(outcome.format, outcome.stats.bytes_read);
-        if let Some(fatal) = &outcome.fatal {
-            if !fault::is_injected(&fatal.message) {
-                return Response::error(400, &format!("document \"{label}\": {}", fatal.message));
-            }
+        match ingest_doc(state, &format!("\"{label}\""), text) {
+            Ok(outcome) => outcomes.push((label, outcome)),
+            Err(response) => return response,
         }
-        outcomes.push((label, outcome));
     }
-    let degraded = outcomes.iter().any(|(_, o)| {
-        o.fatal
-            .as_ref()
-            .is_some_and(|f| fault::is_injected(&f.message))
-            || o.sbom
-                .diagnostics()
-                .iter()
-                .any(|d| fault::is_injected(&d.message))
-    });
+    // A fatal that `ingest_doc` let through is an injected fault.
+    let degraded = outcomes.iter().any(|(_, o)| o.is_fatal());
     if degraded {
         state.metrics.record_degraded();
     }
@@ -751,15 +760,16 @@ fn diff(state: &AppState, doc: &Value) -> Response {
 /// SBOM). An optional `"ecosystem"` string pins the truth's language;
 /// otherwise it is inferred per document from its first component.
 ///
-/// A fault surfaced at an enrichment site degrades that document's row
-/// (never a 5xx); degraded responses are never cached by
+/// Every document is read once, by [`ingest_doc`]. A fault injected at
+/// `ingest.doc` or surfaced at an enrichment site degrades that
+/// document's row (never a 5xx); degraded responses are never cached by
 /// [`execute_cached`], so a later fault-free request recomputes.
 fn impact(state: &AppState, doc: &Value) -> Response {
     if doc.get("sbom").is_some() && doc.get("sboms").is_some() {
         return Response::error(400, "provide \"sbom\" or \"sboms\", not both");
     }
     let batched = doc.get("sboms").is_some();
-    let mut texts: Vec<String> = Vec::new();
+    let mut texts: Vec<&str> = Vec::new();
     if batched {
         let Some(entries) = doc.get("sboms").and_then(Value::as_array) else {
             return Response::error(400, "\"sboms\" must be an array of document strings");
@@ -774,22 +784,24 @@ fn impact(state: &AppState, doc: &Value) -> Response {
             let Some(text) = entry.as_str() else {
                 return Response::error(400, &format!("\"sboms\"[{i}] must be a document string"));
             };
-            texts.push(text.to_string());
+            texts.push(text);
         }
     } else {
         let Some(text) = doc.get("sbom").and_then(Value::as_str) else {
             return Response::error(400, "missing \"sbom\" document string");
         };
-        texts.push(text.to_string());
+        texts.push(text);
     }
-    let mut sboms = Vec::with_capacity(texts.len());
-    for (i, text) in texts.iter().enumerate() {
-        match parse_sbom_doc(text) {
-            Ok(s) => sboms.push(s),
-            Err(msg) if batched => {
-                return Response::error(400, &format!("document \"sboms\"[{i}]: {msg}"));
-            }
-            Err(msg) => return Response::error(400, &format!("document \"sbom\": {msg}")),
+    let mut outcomes = Vec::with_capacity(texts.len());
+    for (i, text) in texts.into_iter().enumerate() {
+        let document = if batched {
+            format!("\"sboms\"[{i}]")
+        } else {
+            "\"sbom\"".to_string()
+        };
+        match ingest_doc(state, &document, text) {
+            Ok(outcome) => outcomes.push(outcome),
+            Err(response) => return response,
         }
     }
     let seed = opt_u64(doc, "seed").unwrap_or(state.default_seed);
@@ -809,7 +821,7 @@ fn impact(state: &AppState, doc: &Value) -> Response {
         },
     };
     let truth = match doc.get("truth") {
-        None | Some(Value::Null) => sbom_as_truth(&sboms[0]),
+        None | Some(Value::Null) => sbom_as_truth(&outcomes[0].sbom),
         Some(value) => match parse_truth(value) {
             Ok(t) => t,
             Err(msg) => return Response::error(400, msg),
@@ -817,15 +829,21 @@ fn impact(state: &AppState, doc: &Value) -> Response {
     };
     let db = state.advisory_db(seed, advisory_seed, share);
     let mut degraded = false;
-    let mut rows = Vec::with_capacity(sboms.len());
-    for sbom in &sboms {
+    let mut rows = Vec::with_capacity(outcomes.len());
+    for outcome in &outcomes {
+        let sbom = &outcome.sbom;
         let eco = pinned_eco
             .or_else(|| sbom.components().first().map(|c| c.ecosystem))
             .unwrap_or(Ecosystem::Python);
         let mut row = Value::object();
         row.set("tool", Value::from(sbom.meta.tool_name.clone()));
         row.set("subject", Value::from(sbom.meta.subject.clone()));
-        match assess_cached(&state.enrich, &db, eco, sbom, &truth) {
+        // A fatal that `ingest_doc` let through is an injected fault.
+        let assessed = match &outcome.fatal {
+            Some(fatal) => Err(fatal.message.clone()),
+            None => assess_cached(&state.enrich, &db, eco, sbom, &truth),
+        };
+        match assessed {
             Ok(report) => {
                 record_raised_severities(state, &db, &report);
                 impact_report_fields(&mut row, &report);
@@ -837,6 +855,9 @@ fn impact(state: &AppState, doc: &Value) -> Response {
             }
         }
         rows.push(row);
+    }
+    if degraded {
+        state.metrics.record_degraded();
     }
     let mut out = if batched {
         let mut out = Value::object();
@@ -911,15 +932,6 @@ fn parse_truth(value: &Value) -> Result<Vec<ResolvedPackage>, &'static str> {
     Ok(out)
 }
 
-fn parse_sbom_doc(text: &str) -> Result<Sbom, String> {
-    match SbomFormat::detect(text) {
-        Some(format) => format
-            .parse(text)
-            .map_err(|e| format!("failed to parse: {e}")),
-        None => Err("not a recognizable CycloneDX or SPDX document".to_string()),
-    }
-}
-
 fn opt_u64(doc: &Value, key: &str) -> Option<u64> {
     doc.get(key)
         .and_then(Value::as_i64)
@@ -936,6 +948,21 @@ fn finish(doc: Value) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fault plans are process-global. Tests that install one hold this
+    /// lock until the plan is uninstalled, so plans never replace each
+    /// other; tests whose assertions an installed plan would perturb
+    /// (parse-cache hits, quality rows) hold it too.
+    static FAULT_PLAN: Mutex<()> = Mutex::new(());
+
+    fn no_other_plan() -> std::sync::MutexGuard<'static, ()> {
+        FAULT_PLAN.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn install(plan: fault::FaultPlan) -> (fault::Guard, std::sync::MutexGuard<'static, ()>) {
+        let lock = no_other_plan();
+        (fault::install(plan), lock)
+    }
 
     fn state() -> AppState {
         AppState::new(42, 64)
@@ -1015,6 +1042,7 @@ mod tests {
 
     #[test]
     fn analyze_reports_four_tools_and_pairwise_jaccard() {
+        let _plan = no_other_plan();
         let state = state();
         let resp = handle(&state, &post("/v1/analyze", &analyze_payload()), 0);
         assert_eq!(
@@ -1039,6 +1067,7 @@ mod tests {
 
     #[test]
     fn rewritten_manifest_is_reanalyzed_not_served_stale() {
+        let _plan = no_other_plan();
         // Same repository name, same path, different bytes across two
         // requests against one long-lived state: the content-hashed parse
         // cache must serve the *new* parse, not the memo of the first.
@@ -1210,15 +1239,13 @@ mod tests {
         assert_eq!(out.get("degraded").and_then(Value::as_bool), Some(false));
         // Ingest metrics observed both documents.
         assert_eq!(
-            state
-                .metrics
-                .ingest_documents(Some(ingest::DocFormat::CycloneDxJson)),
+            state.metrics.ingest_documents(Some(SbomFormat::CycloneDx)),
             1
         );
         assert_eq!(
             state
                 .metrics
-                .ingest_documents(Some(ingest::DocFormat::SpdxTagValue)),
+                .ingest_documents(Some(SbomFormat::SpdxTagValue)),
             1
         );
         assert_eq!(
@@ -1266,7 +1293,7 @@ mod tests {
             )
             .for_key("9973")],
         };
-        let guard = fault::install(plan);
+        let guard = install(plan);
         let mut req = Value::object();
         req.set("a", Value::from(cdx.as_str()));
         req.set("b", Value::from("SPDXVersion: SPDX-2.3\n"));
@@ -1290,6 +1317,125 @@ mod tests {
                     .is_some_and(fault::is_injected)
         }));
         assert!(state.metrics.degraded() >= 1);
+    }
+
+    #[test]
+    fn diff_and_impact_reject_the_same_documents_with_the_same_message() {
+        // Both endpoints read documents through one reader, so a document
+        // past the ingester's nesting or token caps is a 400 on both.
+        let deep = format!(
+            "{{\"bomFormat\":\"CycloneDX\",\"specVersion\":\"1.5\",\"x-vendor\":{}{},\"components\":[]}}",
+            "[".repeat(120),
+            "]".repeat(120)
+        );
+        let long = format!(
+            "{{\"bomFormat\":\"CycloneDX\",\"specVersion\":\"1.5\",\"components\":[{{\"name\":\"{}\"}}]}}",
+            "x".repeat(1_200_000)
+        );
+        let valid = SbomFormat::CycloneDx.serialize(&Sbom::new("t", "1"));
+        let state = state();
+        let error = |resp: &Response| {
+            body_json(resp)
+                .get("error")
+                .and_then(Value::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        for (doc, want) in [
+            (&deep, "maximum nesting depth exceeded"),
+            (&long, "string token exceeds 1048576 bytes"),
+        ] {
+            let mut req = Value::object();
+            req.set("a", Value::from(doc.as_str()));
+            req.set("b", Value::from(valid.as_str()));
+            let diff = handle(&state, &post("/v1/diff", &json::to_string(&req)), 0);
+            let mut req = Value::object();
+            req.set("sbom", Value::from(doc.as_str()));
+            let impact = handle(&state, &post("/v1/impact", &json::to_string(&req)), 0);
+            let (diff_msg, impact_msg) = (error(&diff), error(&impact));
+            assert_eq!((diff.status, impact.status), (400, 400), "{impact_msg}");
+            assert_eq!(diff_msg, format!("document \"a\": {want}"));
+            assert_eq!(impact_msg, format!("document \"sbom\": {want}"));
+        }
+        assert_eq!(state.metrics.ingest_documents(None), 4);
+    }
+
+    #[test]
+    fn impact_degrades_under_injected_ingest_fault_and_is_never_cached() {
+        use sbomdiff_types::Component;
+        let state = state();
+        let mut truth = Sbom::new("best-practice", "1");
+        truth.push(Component::new(
+            Ecosystem::Python,
+            "numpy",
+            Some("1.19.2".into()),
+        ));
+        let truth = SbomFormat::CycloneDx.serialize(&truth);
+        // Key the rule to the second document's exact byte length so
+        // concurrent tests in this binary are unaffected by the global plan.
+        let mut faulted = SbomFormat::CycloneDx.serialize(&Sbom::new("dropper", "1"));
+        while faulted.len() < 9967 {
+            faulted.push('\n');
+        }
+        let mut req = Value::object();
+        req.set(
+            "sboms",
+            Value::Array(vec![
+                Value::from(truth.as_str()),
+                Value::from(faulted.as_str()),
+            ]),
+        );
+        req.set("vulnerable_share", Value::from(1.0));
+        let body = json::to_string(&req);
+        let plan = fault::FaultPlan {
+            seed: 17,
+            rules: vec![fault::FaultRule::new(
+                fault::sites::INGEST_DOC,
+                1_000_000,
+                fault::FaultAction::Error,
+            )
+            .for_key("9967")],
+        };
+        let guard = install(plan);
+        let first = match execute_cached(&state, &post("/v1/impact", &body), 0) {
+            Executed::Miss(resp) => resp,
+            Executed::Hit(_) => panic!("degraded response must not enter the cache"),
+        };
+        assert_eq!(
+            first.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&first.body)
+        );
+        assert!(first.degraded);
+        let out = body_json(&first);
+        assert_eq!(out.get("degraded").and_then(Value::as_bool), Some(true));
+        let reports = out.get("reports").and_then(Value::as_array).unwrap();
+        assert_eq!(reports[0].get("degraded"), None);
+        assert_eq!(
+            reports[1].get("degraded").and_then(Value::as_bool),
+            Some(true)
+        );
+        assert!(reports[1]
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(fault::is_injected));
+        assert_eq!(state.metrics.degraded(), 1);
+        // Deterministic while the plan is live, and still not a cache hit.
+        let second = match execute_cached(&state, &post("/v1/impact", &body), 0) {
+            Executed::Miss(resp) => resp,
+            Executed::Hit(_) => panic!("degraded response served from cache"),
+        };
+        assert_eq!(first.body, second.body);
+        drop(guard);
+        // Fault-free recomputation succeeds and becomes cacheable.
+        let healthy = execute_cached(&state, &post("/v1/impact", &body), 0);
+        assert!(matches!(healthy, Executed::Hit(_)));
+        assert_eq!(healthy.status(), 200);
+        // Every impact document is counted once per request it was read in.
+        let metrics = &state.metrics;
+        assert_eq!(metrics.ingest_documents(Some(SbomFormat::CycloneDx)), 4);
+        assert_eq!(metrics.ingest_documents(None), 2);
     }
 
     // Two CycloneDX documents naming the same three Python packages with
@@ -1587,7 +1733,7 @@ mod tests {
             )
             .for_key("impact-fault-probe")],
         };
-        let guard = fault::install(plan);
+        let guard = install(plan);
         let first = match execute_cached(&state, &post("/v1/impact", &body), 0) {
             Executed::Miss(resp) => resp,
             Executed::Hit(_) => panic!("degraded response must not enter the cache"),
@@ -1620,6 +1766,7 @@ mod tests {
 
     #[test]
     fn analyze_quality_scores_every_tool_and_feeds_gauges() {
+        let _plan = no_other_plan();
         let state = state();
         let payload = analyze_payload().replace(
             "\"name\":\"demo\"",
@@ -1689,7 +1836,7 @@ mod tests {
             )
             .for_key("Syft")],
         };
-        let guard = fault::install(plan);
+        let guard = install(plan);
         let first = match execute_cached(&state, &post("/v1/analyze", &payload), 0) {
             Executed::Miss(resp) => resp,
             Executed::Hit(_) => panic!("degraded response must not enter the cache"),

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use sbomdiff_matching::MatchTier;
-use sbomdiff_sbomfmt::ingest::DocFormat;
+use sbomdiff_sbomfmt::SbomFormat;
 use sbomdiff_types::DiagClass;
 use sbomdiff_vuln::Severity;
 
@@ -152,10 +152,11 @@ pub struct Metrics {
     worker_panics: AtomicU64,
     // One counter per DiagClass, indexed by DiagClass::index().
     diagnostics: [AtomicU64; DiagClass::ALL.len()],
-    // External SBOM ingestion: total bytes consumed, and documents per
-    // detected format (trailing slot: unrecognizable documents).
+    // SBOM documents read by `/v1/diff` and `/v1/impact`: total bytes
+    // consumed, and documents per detected format (trailing slot:
+    // unrecognizable documents).
     ingest_bytes: AtomicU64,
-    ingest_documents: [AtomicU64; DocFormat::ALL.len() + 1],
+    ingest_documents: [AtomicU64; SbomFormat::ALL.len() + 1],
     // Component pairs matched by tiered `/v1/diff` requests, per tier,
     // indexed by MatchTier::index().
     match_pairs: [AtomicU64; MatchTier::COUNT],
@@ -207,10 +208,10 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 }
 
 /// Counter slot for an ingest format (`None`: the unknown slot).
-fn ingest_index(format: Option<DocFormat>) -> usize {
+fn ingest_index(format: Option<SbomFormat>) -> usize {
     format
-        .and_then(|f| DocFormat::ALL.iter().position(|&g| g == f))
-        .unwrap_or(DocFormat::ALL.len())
+        .and_then(|f| SbomFormat::ALL.iter().position(|&g| g == f))
+        .unwrap_or(SbomFormat::ALL.len())
 }
 
 impl Metrics {
@@ -300,10 +301,10 @@ impl Metrics {
             .sum()
     }
 
-    /// Records one externally supplied SBOM document ingested by
-    /// `/v1/diff`: the bytes consumed and the detected format (`None` when
-    /// the document was not recognizable).
-    pub fn record_ingest(&self, format: Option<DocFormat>, bytes: u64) {
+    /// Records one SBOM document ingested by `/v1/diff` or `/v1/impact`:
+    /// the bytes consumed and the detected format (`None` when the
+    /// document was not recognizable).
+    pub fn record_ingest(&self, format: Option<SbomFormat>, bytes: u64) {
         self.ingest_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.ingest_documents[ingest_index(format)].fetch_add(1, Ordering::Relaxed);
     }
@@ -356,7 +357,7 @@ impl Metrics {
     }
 
     /// External documents ingested with this detected format so far.
-    pub fn ingest_documents(&self, format: Option<DocFormat>) -> u64 {
+    pub fn ingest_documents(&self, format: Option<SbomFormat>) -> u64 {
         self.ingest_documents[ingest_index(format)].load(Ordering::Relaxed)
     }
 
@@ -505,7 +506,7 @@ impl Metrics {
             "counter",
             "External SBOM documents ingested, by detected format.",
         );
-        for (i, label) in DocFormat::ALL
+        for (i, label) in SbomFormat::ALL
             .iter()
             .map(|f| f.label())
             .chain(std::iter::once("unknown"))
@@ -761,14 +762,14 @@ mod tests {
     fn ingest_counters_render_per_format_with_unknown_slot() {
         let m = Metrics::new();
         // Edge cases: zero-byte document, unknown format, repeated counts.
-        m.record_ingest(Some(DocFormat::CycloneDxJson), 1024);
-        m.record_ingest(Some(DocFormat::CycloneDxJson), 0);
-        m.record_ingest(Some(DocFormat::SpdxTagValue), 76);
+        m.record_ingest(Some(SbomFormat::CycloneDx), 1024);
+        m.record_ingest(Some(SbomFormat::CycloneDx), 0);
+        m.record_ingest(Some(SbomFormat::SpdxTagValue), 76);
         m.record_ingest(None, 3);
         assert_eq!(m.ingest_bytes(), 1103);
-        assert_eq!(m.ingest_documents(Some(DocFormat::CycloneDxJson)), 2);
-        assert_eq!(m.ingest_documents(Some(DocFormat::SpdxJson)), 0);
-        assert_eq!(m.ingest_documents(Some(DocFormat::SpdxTagValue)), 1);
+        assert_eq!(m.ingest_documents(Some(SbomFormat::CycloneDx)), 2);
+        assert_eq!(m.ingest_documents(Some(SbomFormat::Spdx)), 0);
+        assert_eq!(m.ingest_documents(Some(SbomFormat::SpdxTagValue)), 1);
         assert_eq!(m.ingest_documents(None), 1);
         let text = m.render(0, 0, 0);
         assert!(text.contains("sbomdiff_ingest_bytes_total 1103"));
@@ -855,7 +856,7 @@ mod tests {
         let m = Metrics::new();
         m.record(Endpoint::Analyze, 200, Duration::from_micros(300));
         m.record_diagnostic(DiagClass::MalformedFile);
-        m.record_ingest(Some(DocFormat::CycloneDxJson), 10);
+        m.record_ingest(Some(SbomFormat::CycloneDx), 10);
         m.record_quality_score("trivy-like", "supplier", 62.5);
         m.record_quality_score("weird\"\\\n", "total", 10.0);
         let mut text = m.render(1, 2, 0);

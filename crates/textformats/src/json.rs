@@ -4,7 +4,7 @@
 //! and for emitting CycloneDX / SPDX SBOM documents.
 
 use crate::value::Value;
-use crate::TextError;
+use crate::{TextError, UnicodeEscape};
 
 /// Parses a JSON document.
 ///
@@ -274,6 +274,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Decodes `\uXXXX` through the shared [`UnicodeEscape`] policy. An
+    /// escape that follows but does not pair is left unconsumed, so it
+    /// decodes on its own. Out of line: such escapes are rare, and inlined
+    /// into [`Parser::string`] this slows every string.
+    #[cold]
     fn unicode_escape(&mut self) -> Result<char, TextError> {
         // self.pos is at 'u'
         self.pos += 1;
@@ -281,35 +286,17 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.err("invalid \\u escape"))?;
-        let n = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let unit = hex4(hex).ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
-        if (0xD800..0xDC00).contains(&n) {
-            // High surrogate — pairs with an immediately following low
-            // surrogate. Anything else (another high surrogate, a BMP
-            // escape, a truncated escape) is left *unconsumed*: the lone
-            // high surrogate degrades to U+FFFD and the following escape
-            // decodes on its own instead of being swallowed.
-            if self.bytes.get(self.pos) == Some(&b'\\')
-                && self.bytes.get(self.pos + 1) == Some(&b'u')
-            {
-                let n2 = self
-                    .bytes
-                    .get(self.pos + 2..self.pos + 6)
-                    .and_then(|hex2| std::str::from_utf8(hex2).ok())
-                    .and_then(|hex2| u32::from_str_radix(hex2, 16).ok());
-                if let Some(n2) = n2 {
-                    if (0xDC00..0xE000).contains(&n2) {
-                        self.pos += 6;
-                        let cp = 0x10000 + ((n - 0xD800) << 10) + (n2 - 0xDC00);
-                        return char::from_u32(cp).ok_or_else(|| self.err("invalid code point"));
-                    }
-                }
-            }
-            return Ok('\u{FFFD}');
+        let next = match self.bytes.get(self.pos..self.pos + 6) {
+            Some([b'\\', b'u', hex @ ..]) => hex4(hex),
+            _ => None,
+        };
+        let decoded = UnicodeEscape::decode(unit, next);
+        if matches!(decoded, UnicodeEscape::Pair(_)) {
+            self.pos += 6;
         }
-        // Unpaired low surrogates also degrade to U+FFFD.
-        Ok(char::from_u32(n).unwrap_or('\u{FFFD}'))
+        Ok(decoded.char())
     }
 
     fn object(&mut self) -> Result<Value, TextError> {
@@ -376,6 +363,14 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The value of the four hex digits of a `\uXXXX` escape (`None` when a
+/// byte is not a hex digit).
+fn hex4(bytes: &[u8]) -> Option<u32> {
+    bytes
+        .iter()
+        .try_fold(0, |n, &b| Some(n * 16 + (b as char).to_digit(16)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +404,8 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("").is_err());
+        // A sign is not a hex digit (the streaming reader agrees).
+        assert!(parse(r#""\u+041""#).is_err());
     }
 
     #[test]

@@ -34,6 +34,49 @@ pub use xml::Element;
 
 use std::fmt;
 
+/// One `\uXXXX` escape, decoded under the surrogate policy that every
+/// reader in this crate accepting such escapes ([`json`], [`stream`] and
+/// [`properties`]) shares: a high surrogate pairs with the low surrogate of
+/// the escape right after it; lone and unpaired surrogates become U+FFFD.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnicodeEscape {
+    /// A character from one escape.
+    Char(char),
+    /// An astral character from a high surrogate and the low-surrogate
+    /// escape right after it; the reader consumes both escapes.
+    Pair(char),
+    /// A high surrogate with no low surrogate right after it. Any escape
+    /// that does follow decodes on its own.
+    LoneHigh,
+    /// A low surrogate with no high surrogate before it.
+    UnpairedLow,
+}
+
+impl UnicodeEscape {
+    /// Decodes the code unit `unit` of one escape; `next` is the code unit
+    /// of the `\uXXXX` escape immediately after it, if there is one. Only
+    /// a [`UnicodeEscape::Pair`] uses `next`.
+    pub fn decode(unit: u32, next: Option<u32>) -> Self {
+        match (unit, next) {
+            (0xD800..=0xDBFF, Some(low @ 0xDC00..=0xDFFF)) => UnicodeEscape::Pair(
+                char::from_u32(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
+                    .unwrap_or(char::REPLACEMENT_CHARACTER),
+            ),
+            (0xD800..=0xDBFF, _) => UnicodeEscape::LoneHigh,
+            (0xDC00..=0xDFFF, _) => UnicodeEscape::UnpairedLow,
+            _ => UnicodeEscape::Char(char::from_u32(unit).unwrap_or(char::REPLACEMENT_CHARACTER)),
+        }
+    }
+
+    /// The decoded character: U+FFFD for a lone or unpaired surrogate.
+    pub fn char(self) -> char {
+        match self {
+            UnicodeEscape::Char(c) | UnicodeEscape::Pair(c) => c,
+            UnicodeEscape::LoneHigh | UnicodeEscape::UnpairedLow => char::REPLACEMENT_CHARACTER,
+        }
+    }
+}
+
 /// Error raised by the text-format parsers, with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TextError {

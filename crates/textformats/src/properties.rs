@@ -4,6 +4,8 @@
 //! `MANIFEST.MF` uses RFC-822-style headers with 72-byte line folding
 //! (continuation lines start with a single space).
 
+use crate::UnicodeEscape;
+
 /// One malformed `\uXXXX` escape found while parsing a properties file:
 /// a lone or unpaired surrogate, or a truncated/non-hex escape. The text
 /// still parses — the offending escape decodes to U+FFFD — and the caller
@@ -133,34 +135,29 @@ fn unescape(s: &str, line: usize, issues: &mut Vec<EscapeIssue>) -> String {
             Some('t') => out.push('\t'),
             Some('r') => out.push('\r'),
             Some('u') => {
-                let Some(n) = hex4(&mut chars) else {
+                let Some(unit) = hex4(&mut chars) else {
                     issue("malformed \\uXXXX escape (expected 4 hex digits)".to_string());
                     out.push('\u{FFFD}');
                     continue;
                 };
-                if (0xD800..0xDC00).contains(&n) {
-                    // High surrogate: pairs with an immediately following
-                    // `\uXXXX` low surrogate (the UTF-16 spelling Java's
-                    // native2ascii emits for astral code points).
-                    let mut probe = chars.clone();
-                    if probe.next() == Some('\\') && probe.next() == Some('u') {
-                        if let Some(n2) = hex4(&mut probe) {
-                            if (0xDC00..0xE000).contains(&n2) {
-                                chars = probe;
-                                let cp = 0x10000 + ((n - 0xD800) << 10) + (n2 - 0xDC00);
-                                out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                                continue;
-                            }
-                        }
+                // Java's native2ascii spells an astral code point as two
+                // escapes, a UTF-16 surrogate pair.
+                let mut probe = chars.clone();
+                let next = (probe.next() == Some('\\') && probe.next() == Some('u'))
+                    .then(|| hex4(&mut probe))
+                    .flatten();
+                let decoded = UnicodeEscape::decode(unit, next);
+                match decoded {
+                    UnicodeEscape::Pair(_) => chars = probe,
+                    UnicodeEscape::LoneHigh => {
+                        issue(format!("lone high surrogate \\u{unit:04X} in escape"))
                     }
-                    issue(format!("lone high surrogate \\u{n:04X} in escape"));
-                    out.push('\u{FFFD}');
-                } else if (0xDC00..0xE000).contains(&n) {
-                    issue(format!("unpaired low surrogate \\u{n:04X} in escape"));
-                    out.push('\u{FFFD}');
-                } else {
-                    out.push(char::from_u32(n).unwrap_or('\u{FFFD}'));
+                    UnicodeEscape::UnpairedLow => {
+                        issue(format!("unpaired low surrogate \\u{unit:04X} in escape"))
+                    }
+                    UnicodeEscape::Char(_) => {}
                 }
+                out.push(decoded.char());
             }
             Some(other) => out.push(other),
             None => {}

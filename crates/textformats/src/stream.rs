@@ -22,6 +22,8 @@
 use std::fmt;
 use std::io::Read;
 
+use crate::UnicodeEscape;
+
 /// Default refill size for [`ChunkSource`]: 64 KiB.
 pub const DEFAULT_CHUNK: usize = 64 * 1024;
 
@@ -564,13 +566,7 @@ impl<R: Read> JsonStream<R> {
         self.src.next_byte()?; // opening '"'
         self.scratch.clear();
         loop {
-            self.src.note_scratch(self.scratch.len());
-            if self.scratch.len() > MAX_TOKEN {
-                return Err(self.err(
-                    StreamErrorKind::TokenTooLong,
-                    format!("string token exceeds {MAX_TOKEN} bytes"),
-                ));
-            }
+            self.check_token_len()?;
             // Bulk-copy the run up to the next quote, escape or control
             // byte inside the current window, capped so the scratch buffer
             // overshoots MAX_TOKEN by at most one byte; multi-byte
@@ -606,6 +602,19 @@ impl<R: Read> JsonStream<R> {
             .map_err(|_| self.err(StreamErrorKind::Utf8, "invalid utf-8 in string"))
     }
 
+    /// Records the string scratch for peak accounting and enforces the
+    /// [`MAX_TOKEN`] cap on it.
+    fn check_token_len(&mut self) -> Result<(), StreamError> {
+        self.src.note_scratch(self.scratch.len());
+        if self.scratch.len() > MAX_TOKEN {
+            return Err(self.err(
+                StreamErrorKind::TokenTooLong,
+                format!("string token exceeds {MAX_TOKEN} bytes"),
+            ));
+        }
+        Ok(())
+    }
+
     fn push_char(&mut self, c: char) {
         let mut buf = [0u8; 4];
         self.scratch
@@ -634,44 +643,30 @@ impl<R: Read> JsonStream<R> {
         Ok(())
     }
 
-    /// Handles `\uXXXX` (the `\u` is already consumed), mirroring the
-    /// in-memory parser exactly: a high surrogate pairs with a following
-    /// `\uXXXX` low surrogate; a following `\u` escape that is *not* a
-    /// low surrogate leaves a single U+FFFD for the lone high surrogate
-    /// and then decodes on its own (it may itself open a new pair); lone
-    /// high and unpaired low surrogates degrade to U+FFFD. The stream
-    /// cannot rewind, so the "reprocess the second escape" step of the
-    /// in-memory parser becomes the loop here.
+    /// Handles `\uXXXX` (the `\u` is already consumed) through the shared
+    /// [`UnicodeEscape`] policy. The stream cannot rewind, so it reads the
+    /// escape that follows before deciding; when the two do not pair, that
+    /// escape decodes on the next round.
     fn unicode_escape(&mut self) -> Result<(), StreamError> {
-        let mut n = self.hex4()?;
+        let mut unit = self.hex4()?;
         loop {
-            if !(0xD800..0xDC00).contains(&n) {
-                // BMP character, or an unpaired low surrogate (U+FFFD).
-                self.push_char(char::from_u32(n).unwrap_or('\u{FFFD}'));
-                return Ok(());
+            self.check_token_len()?;
+            let mut next = None;
+            if self.src.peek()? == Some(b'\\') {
+                self.src.next_byte()?;
+                if self.src.peek()? != Some(b'u') {
+                    self.push_char(UnicodeEscape::decode(unit, None).char());
+                    return self.escape();
+                }
+                self.src.next_byte()?;
+                next = Some(self.hex4()?);
             }
-            if self.src.peek()? != Some(b'\\') {
-                self.push_char('\u{FFFD}');
-                return Ok(());
+            let decoded = UnicodeEscape::decode(unit, next);
+            self.push_char(decoded.char());
+            match next {
+                Some(n) if !matches!(decoded, UnicodeEscape::Pair(_)) => unit = n,
+                _ => return Ok(()),
             }
-            self.src.next_byte()?; // '\\'
-            if self.src.peek()? != Some(b'u') {
-                // A pending non-\u escape after the lone surrogate: emit the
-                // replacement first, then process the escape normally.
-                self.push_char('\u{FFFD}');
-                return self.escape();
-            }
-            self.src.next_byte()?; // 'u'
-            let n2 = self.hex4()?;
-            if (0xDC00..0xE000).contains(&n2) {
-                let cp = 0x10000 + ((n - 0xD800) << 10) + (n2 - 0xDC00);
-                self.push_char(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                return Ok(());
-            }
-            // Not a low surrogate: the first escape was a lone high
-            // surrogate; the second becomes the new candidate.
-            self.push_char('\u{FFFD}');
-            n = n2;
         }
     }
 
