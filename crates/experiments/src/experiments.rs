@@ -1138,7 +1138,8 @@ pub fn vulnimpact(ctx: &Context) {
 
 /// Profile labels of the quality scorecard, in scoring order: the four
 /// studied tools (matching [`TOOL_ORDER`]) plus the best-practice design.
-pub const QUALITY_PROFILES: [&str; 5] = ["trivy", "syft", "sbom-tool", "github-dg", "best-practice"];
+pub const QUALITY_PROFILES: [&str; 5] =
+    ["trivy", "syft", "sbom-tool", "github-dg", "best-practice"];
 
 /// SBOM quality/completeness scorecard (ROADMAP item 5): every document of
 /// every emulator profile plus the best-practice generator is scored

@@ -396,14 +396,16 @@ mod tests {
     fn pom_properties_lone_surrogate_degrades_with_encoding_diagnostic() {
         // A lone high surrogate in the artifactId becomes U+FFFD and the
         // component is still reported, alongside an EncodingError diagnostic.
-        let p = parse_pom_properties(
-            "groupId=org.example\nartifactId=lib\\ud83d\nversion=1.0.0\n",
-        );
+        let p = parse_pom_properties("groupId=org.example\nartifactId=lib\\ud83d\nversion=1.0.0\n");
         assert_eq!(p.deps.len(), 1);
         assert_eq!(p.deps[0].name.raw(), "org.example:lib\u{FFFD}");
         assert_eq!(p.diags.len(), 1);
         assert_eq!(p.diags[0].class, DiagClass::EncodingError);
-        assert!(p.diags[0].message.contains("line 2"), "{}", p.diags[0].message);
+        assert!(
+            p.diags[0].message.contains("line 2"),
+            "{}",
+            p.diags[0].message
+        );
         // A valid surrogate pair decodes cleanly: no diagnostic.
         let p = parse_pom_properties(
             "groupId=org.example\nartifactId=lib\\ud83d\\ude00\nversion=1.0.0\n",

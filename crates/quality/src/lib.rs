@@ -165,11 +165,7 @@ impl QualityReport {
 /// (GitHub DG, §V-D) or a wildcard? Range operators disqualify even
 /// when the remainder would parse.
 fn is_concrete_version(v: &str) -> bool {
-    if v.is_empty()
-        || v.contains(|c: char| {
-            matches!(c, '*' | '^' | '~' | '>' | '<' | '=' | ',' | '|' | ' ')
-        })
-    {
+    if v.is_empty() || v.contains(['*', '^', '~', '>', '<', '=', ',', '|', ' ']) {
         return false;
     }
     sbomdiff_types::Version::parse(v).is_ok()
@@ -260,9 +256,7 @@ fn evaluate_check(sbom: &Sbom, check: QualityCheck) -> (CheckResult, Option<Diag
     } else {
         for c in sbom.components() {
             let ok = match check {
-                QualityCheck::Supplier => {
-                    c.supplier.as_deref().is_some_and(|s| !s.is_empty())
-                }
+                QualityCheck::Supplier => c.supplier.as_deref().is_some_and(|s| !s.is_empty()),
                 QualityCheck::ComponentName => !c.name.is_empty(),
                 QualityCheck::UniqueId => c.purl.is_some() || c.cpe.is_some(),
                 QualityCheck::Relationship => c.scope.is_some(),
@@ -278,8 +272,7 @@ fn evaluate_check(sbom: &Sbom, check: QualityCheck) -> (CheckResult, Option<Diag
                         } else {
                             result.malformed += 1;
                             class = DiagClass::InvalidVersion;
-                            example
-                                .get_or_insert_with(|| format!("{} ({v})", c.name));
+                            example.get_or_insert_with(|| format!("{} ({v})", c.name));
                             continue;
                         }
                     }
@@ -414,8 +407,7 @@ mod tests {
                 report
                     .diagnostics
                     .iter()
-                    .any(|d| d.class == DiagClass::InvalidVersion
-                        && d.message.contains(range)),
+                    .any(|d| d.class == DiagClass::InvalidVersion && d.message.contains(range)),
                 "{range}"
             );
         }
@@ -470,7 +462,12 @@ mod tests {
         s.meta.timestamp = None;
         assert_eq!(evaluate(&s).check(QualityCheck::Timestamp).missing, 1);
         // Malformed: not RFC 3339.
-        for bad in ["yesterday", "2024-01-01", "2024-01-01 00:00:00", "2024-01-01T00:00:00"] {
+        for bad in [
+            "yesterday",
+            "2024-01-01",
+            "2024-01-01 00:00:00",
+            "2024-01-01T00:00:00",
+        ] {
             let mut s = full_sbom();
             s.meta.timestamp = Some(bad.into());
             let report = evaluate(&s);

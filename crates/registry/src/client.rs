@@ -1,4 +1,4 @@
-//! Registry client abstraction with failure injection.
+//! A registry client with failure injection.
 //!
 //! §V-C: the Microsoft SBOM Tool "attempts to resolve transitive
 //! dependencies by querying package managers ... but this functionality is
@@ -26,66 +26,11 @@ fn guarded<T>(site: &'static str, name: &str, f: impl FnMut() -> Option<T>) -> O
     fault::with_retry(site, name, &REGISTRY_RETRY, f).unwrap_or_default()
 }
 
-/// Read-only registry operations used by resolvers and tool emulators.
-pub trait RegistryClient {
-    /// All published versions of a package (ascending), or `None` when the
-    /// package is unknown *or the query failed*.
-    fn versions(&self, name: &str) -> Option<Vec<Version>>;
-
-    /// The newest non-yanked version.
-    fn latest(&self, name: &str) -> Option<Version>;
-
-    /// The newest version matching a requirement.
-    fn latest_matching(&self, name: &str, req: &VersionReq) -> Option<Version>;
-
-    /// Dependency edges of a concrete version. `honor_markers` controls
-    /// whether platform-excluded edges are filtered.
-    fn deps_of(
-        &self,
-        name: &str,
-        version: &Version,
-        extras: &[String],
-        honor_markers: bool,
-    ) -> Option<Vec<RegistryDep>>;
-}
-
-impl RegistryClient for PackageUniverse {
-    fn versions(&self, name: &str) -> Option<Vec<Version>> {
-        self.lookup(name)
-            .map(|p| p.versions.iter().map(|v| v.version.clone()).collect())
-    }
-
-    fn latest(&self, name: &str) -> Option<Version> {
-        PackageUniverse::latest(self, name).cloned()
-    }
-
-    fn latest_matching(&self, name: &str, req: &VersionReq) -> Option<Version> {
-        PackageUniverse::latest_matching(self, name, req).cloned()
-    }
-
-    fn deps_of(
-        &self,
-        name: &str,
-        version: &Version,
-        extras: &[String],
-        honor_markers: bool,
-    ) -> Option<Vec<RegistryDep>> {
-        self.lookup(name)?;
-        Some(
-            PackageUniverse::deps_of(self, name, version, extras, honor_markers)
-                .into_iter()
-                .cloned()
-                .collect(),
-        )
-    }
-}
-
 impl FlakyRegistry<'_> {
-    /// Existence check with the same failure behavior (and failure
-    /// *sequence* — one counter tick per call) as
-    /// [`RegistryClient::versions`], minus the version-list clone. This is
-    /// what name validation on the emulator hot path uses: it only needs
-    /// to know whether the registry answered.
+    /// Existence check: `None` when the package is unknown *or the query
+    /// failed*. One failure-counter tick per call, like every query. Name
+    /// validation on the emulator hot path uses it: it only needs to know
+    /// whether the registry answered.
     pub fn validate(&self, name: &str) -> Option<()> {
         guarded(fault::sites::REGISTRY_VERSIONS, name, || {
             if self.fails(name) {
@@ -95,8 +40,7 @@ impl FlakyRegistry<'_> {
         })
     }
 
-    /// [`RegistryClient::latest`] returning a borrowed version — same
-    /// failure sequence, no clone of the version's backing strings.
+    /// [`PackageUniverse::latest`] behind the failure model.
     pub fn latest_ref(&self, name: &str) -> Option<&Version> {
         guarded(fault::sites::REGISTRY_LATEST, name, || {
             if self.fails(name) {
@@ -106,9 +50,9 @@ impl FlakyRegistry<'_> {
         })
     }
 
-    /// [`RegistryClient::latest_matching`] returning a borrowed version —
-    /// the resolve-latest profile calls this once per ranged declaration
-    /// and once per transitive edge.
+    /// [`PackageUniverse::latest_matching`] behind the failure model — the
+    /// resolve-latest profile calls this once per ranged declaration and
+    /// once per transitive edge.
     pub fn latest_matching_ref(&self, name: &str, req: &VersionReq) -> Option<&Version> {
         guarded(fault::sites::REGISTRY_LATEST_MATCHING, name, || {
             if self.fails(name) {
@@ -118,10 +62,9 @@ impl FlakyRegistry<'_> {
         })
     }
 
-    /// [`RegistryClient::deps_of`] returning borrowed edges — the
-    /// transitive-expansion BFS visits every edge of every resolved
-    /// package, and cloning each `RegistryDep` (name + constraint vector)
-    /// per visit dominates that walk.
+    /// [`PackageUniverse::deps_of`] behind the failure model, `None` for an
+    /// unknown package — the transitive-expansion BFS visits every edge of
+    /// every resolved package, so the edges are borrowed.
     pub fn deps_of_ref(
         &self,
         name: &str,
@@ -185,50 +128,6 @@ impl<'a> FlakyRegistry<'a> {
     }
 }
 
-impl RegistryClient for FlakyRegistry<'_> {
-    fn versions(&self, name: &str) -> Option<Vec<Version>> {
-        guarded(fault::sites::REGISTRY_VERSIONS, name, || {
-            if self.fails(name) {
-                return None;
-            }
-            RegistryClient::versions(self.inner, name)
-        })
-    }
-
-    fn latest(&self, name: &str) -> Option<Version> {
-        guarded(fault::sites::REGISTRY_LATEST, name, || {
-            if self.fails(name) {
-                return None;
-            }
-            RegistryClient::latest(self.inner, name)
-        })
-    }
-
-    fn latest_matching(&self, name: &str, req: &VersionReq) -> Option<Version> {
-        guarded(fault::sites::REGISTRY_LATEST_MATCHING, name, || {
-            if self.fails(name) {
-                return None;
-            }
-            RegistryClient::latest_matching(self.inner, name, req)
-        })
-    }
-
-    fn deps_of(
-        &self,
-        name: &str,
-        version: &Version,
-        extras: &[String],
-        honor_markers: bool,
-    ) -> Option<Vec<RegistryDep>> {
-        guarded(fault::sites::REGISTRY_DEPS_OF, name, || {
-            if self.fails(name) {
-                return None;
-            }
-            RegistryClient::deps_of(self.inner, name, version, extras, honor_markers)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,19 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn universe_implements_client() {
-        let uni = uni();
-        let versions = RegistryClient::versions(&uni, "numpy").unwrap();
-        assert!(!versions.is_empty());
-        assert!(RegistryClient::versions(&uni, "definitely-not-a-package").is_none());
-    }
-
-    #[test]
     fn reliable_never_fails() {
         let uni = uni();
         let client = FlakyRegistry::reliable(&uni);
         for _ in 0..100 {
-            assert!(client.latest("numpy").is_some());
+            assert!(client.latest_ref("numpy").is_some());
         }
     }
 
@@ -267,7 +158,7 @@ mod tests {
         let total = 1000;
         for i in 0..total {
             let name = if i % 2 == 0 { "numpy" } else { "requests" };
-            if client.latest(name).is_none() {
+            if client.latest_ref(name).is_none() {
                 failures += 1;
             }
         }
@@ -280,8 +171,8 @@ mod tests {
         let uni = uni();
         let a = FlakyRegistry::new(&uni, 0.5, 42);
         let b = FlakyRegistry::new(&uni, 0.5, 42);
-        let seq_a: Vec<bool> = (0..50).map(|_| a.latest("numpy").is_some()).collect();
-        let seq_b: Vec<bool> = (0..50).map(|_| b.latest("numpy").is_some()).collect();
+        let seq_a: Vec<bool> = (0..50).map(|_| a.latest_ref("numpy").is_some()).collect();
+        let seq_b: Vec<bool> = (0..50).map(|_| b.latest_ref("numpy").is_some()).collect();
         assert_eq!(seq_a, seq_b);
     }
 }

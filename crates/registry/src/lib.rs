@@ -20,7 +20,7 @@ pub mod client;
 pub mod generate;
 pub mod universe;
 
-pub use client::{FlakyRegistry, RegistryClient};
+pub use client::FlakyRegistry;
 pub use generate::UniverseConfig;
 pub use universe::{PackageEntry, PackageUniverse, RegistryDep, VersionEntry};
 

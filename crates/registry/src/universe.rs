@@ -42,6 +42,28 @@ pub struct VersionEntry {
     pub yanked: bool,
 }
 
+impl VersionEntry {
+    /// Dependency edges active for the requested extras, minus the
+    /// platform-excluded ones when `honor_markers` is set.
+    ///
+    /// `honor_markers` is what distinguishes the ground-truth dry run
+    /// (true: platform-excluded edges are skipped, as pip does) from
+    /// sbom-tool's marker-blind resolution (false).
+    pub fn active_deps<'s, 'e>(
+        &'s self,
+        extras: &'e [String],
+        honor_markers: bool,
+    ) -> impl Iterator<Item = &'s RegistryDep> + use<'s, 'e> {
+        self.deps.iter().filter(move |d| {
+            let extra_active = match &d.extra {
+                None => true,
+                Some(e) => extras.iter().any(|x| x.eq_ignore_ascii_case(e)),
+            };
+            extra_active && !(honor_markers && d.platform_excluded)
+        })
+    }
+}
+
 /// A package with its published versions, oldest first.
 #[derive(Debug, Clone)]
 pub struct PackageEntry {
@@ -59,6 +81,25 @@ impl PackageEntry {
             .rev()
             .find(|v| !v.yanked && !v.version.is_prerelease())
             .map(|v| &v.version)
+    }
+
+    /// Version selection: the newest non-yanked version satisfying `req`,
+    /// or [`latest`](Self::latest) when there is no requirement.
+    pub fn select(&self, req: Option<&VersionReq>) -> Option<&Version> {
+        let Some(req) = req else {
+            return self.latest();
+        };
+        self.versions
+            .iter()
+            .filter(|v| !v.yanked && req.matches(&v.version))
+            .map(|v| &v.version)
+            .max()
+    }
+
+    /// The first published entry equal to `version` — the one whose edges
+    /// a resolution of `version` expands.
+    pub fn published(&self, version: &Version) -> Option<&VersionEntry> {
+        self.versions.iter().find(|v| &v.version == version)
     }
 }
 
@@ -140,21 +181,12 @@ impl PackageUniverse {
     /// The newest version satisfying `req` — the sbom-tool pinning strategy
     /// (§V-D).
     pub fn latest_matching(&self, name: &str, req: &VersionReq) -> Option<&Version> {
-        let entry = self.lookup(name)?;
-        entry
-            .versions
-            .iter()
-            .filter(|v| !v.yanked && req.matches(&v.version))
-            .map(|v| &v.version)
-            .max()
+        self.lookup(name)?.select(Some(req))
     }
 
     /// Dependency edges of a concrete version, filtered by requested extras
-    /// and (optionally) the evaluation platform.
-    ///
-    /// `honor_markers` is what distinguishes the ground-truth dry run
-    /// (true: platform-excluded edges are skipped, as pip does) from
-    /// sbom-tool's marker-blind resolution (false).
+    /// and (optionally) the evaluation platform — see
+    /// [`VersionEntry::active_deps`].
     pub fn deps_of(
         &self,
         name: &str,
@@ -162,21 +194,10 @@ impl PackageUniverse {
         extras: &[String],
         honor_markers: bool,
     ) -> Vec<&RegistryDep> {
-        let Some(entry) = self.lookup(name) else {
-            return Vec::new();
-        };
-        let Some(ventry) = entry.versions.iter().find(|v| &v.version == version) else {
-            return Vec::new();
-        };
-        ventry
-            .deps
-            .iter()
-            .filter(|d| match &d.extra {
-                None => true,
-                Some(e) => extras.iter().any(|x| x.eq_ignore_ascii_case(e)),
-            })
-            .filter(|d| !(honor_markers && d.platform_excluded))
-            .collect()
+        self.lookup(name)
+            .and_then(|entry| entry.published(version))
+            .map(|v| v.active_deps(extras, honor_markers).collect())
+            .unwrap_or_default()
     }
 }
 

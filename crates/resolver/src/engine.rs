@@ -1,12 +1,13 @@
-//! A generic breadth-first dependency resolver over a registry client.
+//! A breadth-first dependency resolver over the synthetic registry.
 //!
 //! Used by the corpus generator to synthesize lockfiles consistent with raw
 //! metadata, and by the ground-truth dry run (via pip-flavored settings).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use sbomdiff_faultline as fault;
-use sbomdiff_registry::RegistryClient;
+use sbomdiff_registry::PackageUniverse;
 use sbomdiff_types::{DepScope, Version, VersionReq};
 
 /// A root (directly declared) dependency to resolve.
@@ -83,23 +84,43 @@ impl Resolution {
     }
 }
 
+/// One queued visit. Everything in it is borrowed from the caller's roots
+/// or from the registry's edges, so queueing a visit never allocates.
+struct Visit<'a> {
+    name: &'a str,
+    req: Option<&'a VersionReq>,
+    extras: &'a [String],
+    scope: DepScope,
+    transitive: bool,
+}
+
 /// Resolves roots and their transitive closure against a registry.
 ///
 /// `honor_markers` controls platform-marker filtering of registry edges
 /// (true for the pip dry run; false for sbom-tool emulation).
-pub fn resolve<C: RegistryClient>(
-    registry: &C,
+pub fn resolve(
+    registry: &PackageUniverse,
     roots: &[RootDep],
     policy: DedupPolicy,
     honor_markers: bool,
 ) -> Resolution {
     let mut resolution = Resolution::default();
-    // Key: package identity under the policy.
-    let mut chosen: BTreeMap<String, usize> = BTreeMap::new();
-    let mut queue: VecDeque<(RootDep, bool)> = roots.iter().cloned().map(|r| (r, false)).collect();
+    // Key: package identity under the policy — the name as spelled, plus
+    // the major under PerMajor (0 otherwise).
+    let mut chosen: BTreeMap<(&str, u64), usize> = BTreeMap::new();
+    let mut queue: VecDeque<Visit<'_>> = roots
+        .iter()
+        .map(|r| Visit {
+            name: &r.name,
+            req: r.req.as_ref(),
+            extras: &r.extras,
+            scope: r.scope,
+            transitive: false,
+        })
+        .collect();
 
     let mut guard = 0usize;
-    while let Some((dep, transitive)) = queue.pop_front() {
+    while let Some(visit) = queue.pop_front() {
         guard += 1;
         if guard > 100_000 {
             break; // defensive bound; registry DAGs terminate well below this
@@ -107,62 +128,56 @@ pub fn resolve<C: RegistryClient>(
         // Fault point: an injected failure drops this visit exactly like an
         // unresolvable package — roots land in `failures`, transitives are
         // silently pruned (matching real resolver behavior on a dead edge).
-        if fault::point!(fault::sites::RESOLVER_VISIT, &dep.name).is_some() {
-            if transitive {
-                resolution.pruned_transitives += 1;
-            } else {
-                resolution.failures.push(dep.name.clone());
-            }
-            continue;
-        }
-        let resolved_version = match &dep.req {
-            Some(req) => registry.latest_matching(&dep.name, req),
-            None => registry.latest(&dep.name),
-        };
-        let Some(version) = resolved_version else {
-            if transitive {
-                resolution.pruned_transitives += 1;
-            } else {
-                resolution.failures.push(dep.name.clone());
-            }
-            continue;
-        };
-        let key = match policy {
-            DedupPolicy::PerMajor => format!("{}@{}", dep.name, version.segment(0)),
-            _ => dep.name.clone(),
-        };
-        if let Some(&existing_idx) = chosen.get(&key) {
-            match policy {
-                DedupPolicy::FirstWins | DedupPolicy::PerMajor => continue,
-                DedupPolicy::HighestWins => {
-                    if resolution.packages[existing_idx].version >= version {
-                        continue;
-                    }
-                    // Upgrade in place; edges of the higher version replace.
-                    resolution.packages[existing_idx].version = version.clone();
-                }
-            }
+        let selected = if fault::point!(fault::sites::RESOLVER_VISIT, visit.name).is_some() {
+            None
         } else {
-            chosen.insert(key, resolution.packages.len());
-            resolution.packages.push(ResolvedEntry {
-                name: dep.name.clone(),
-                version: version.clone(),
-                scope: dep.scope,
-                transitive,
-            });
-        }
-        if let Some(edges) = registry.deps_of(&dep.name, &version, &dep.extras, honor_markers) {
-            for edge in edges {
-                queue.push_back((
-                    RootDep {
-                        name: edge.name,
-                        req: Some(edge.req),
-                        scope: dep.scope,
-                        extras: Vec::new(),
-                    },
-                    true,
-                ));
+            registry
+                .lookup(visit.name)
+                .and_then(|entry| Some((entry, entry.select(visit.req)?)))
+        };
+        let Some((entry, version)) = selected else {
+            if visit.transitive {
+                resolution.pruned_transitives += 1;
+            } else {
+                resolution.failures.push(visit.name.to_string());
             }
+            continue;
+        };
+        let major = match policy {
+            DedupPolicy::PerMajor => version.segment(0),
+            _ => 0,
+        };
+        match chosen.entry((visit.name, major)) {
+            Entry::Occupied(slot) => {
+                let existing = &mut resolution.packages[*slot.get()];
+                if policy != DedupPolicy::HighestWins || existing.version >= *version {
+                    continue;
+                }
+                // Upgrade in place; edges of the higher version replace.
+                existing.version = version.clone();
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(resolution.packages.len());
+                resolution.packages.push(ResolvedEntry {
+                    name: visit.name.to_string(),
+                    version: version.clone(),
+                    scope: visit.scope,
+                    transitive: visit.transitive,
+                });
+            }
+        }
+        if let Some(published) = entry.published(version) {
+            queue.extend(
+                published
+                    .active_deps(visit.extras, honor_markers)
+                    .map(|edge| Visit {
+                        name: &edge.name,
+                        req: Some(&edge.req),
+                        extras: &[],
+                        scope: visit.scope,
+                        transitive: true,
+                    }),
+            );
         }
     }
     resolution
@@ -171,7 +186,7 @@ pub fn resolve<C: RegistryClient>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbomdiff_registry::{PackageEntry, PackageUniverse, RegistryDep, VersionEntry};
+    use sbomdiff_registry::{PackageEntry, RegistryDep, VersionEntry};
     use sbomdiff_types::{ConstraintFlavor, Ecosystem};
 
     fn req(s: &str) -> VersionReq {

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use sbomdiff_metadata::python::{parse_requirements, ReqStyle};
-use sbomdiff_registry::RegistryClient;
+use sbomdiff_registry::PackageUniverse;
 use sbomdiff_types::{DependencySource, Diagnostic, ResolvedPackage};
 
 use crate::engine::{resolve, DedupPolicy, RootDep};
@@ -65,8 +65,8 @@ impl DryRunReport {
 /// assert!(report.installed.iter().any(|p| p.name == "requests"));
 /// assert!(report.transitive_share() > 0.0);
 /// ```
-pub fn dry_run<C: RegistryClient>(
-    registry: &C,
+pub fn dry_run(
+    registry: &PackageUniverse,
     files: &BTreeMap<String, String>,
     entry: &str,
     platform: &Platform,
@@ -215,7 +215,7 @@ fn sibling_path(current: &str, include: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbomdiff_registry::{PackageUniverse, UniverseConfig};
+    use sbomdiff_registry::UniverseConfig;
     use sbomdiff_types::Ecosystem;
 
     fn registry() -> PackageUniverse {

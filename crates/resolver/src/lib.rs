@@ -5,7 +5,7 @@
 //! * [`platform`] — evaluation of PEP 508 environment markers against the
 //!   fixed evaluation platform (Linux, CPython 3.11 — matching the paper's
 //!   §V-H setup of Python 3.11 / pip 23.1.2);
-//! * [`engine`] — a generic breadth-first resolver with per-ecosystem
+//! * [`engine`] — a breadth-first resolver with per-ecosystem
 //!   deduplication policies, used by the corpus generator to synthesize
 //!   lockfiles that are *consistent* with raw metadata;
 //! * [`ground_truth`] — the `pip install --dry-run` simulator that produces

@@ -391,9 +391,11 @@ fn analyze(state: &AppState, doc: &Value) -> Response {
             let report = sbomdiff_quality::evaluate(sbom);
             let profile = quality_profile(*id);
             for check in QualityCheck::ALL {
-                state
-                    .metrics
-                    .record_quality_score(profile, check.label(), report.check(check).score());
+                state.metrics.record_quality_score(
+                    profile,
+                    check.label(),
+                    report.check(check).score(),
+                );
             }
             state
                 .metrics
@@ -1790,9 +1792,9 @@ mod tests {
             assert!((0.0..=100.0).contains(&score), "{tool}: {score}");
             let checks = row.get("checks").unwrap();
             for check in QualityCheck::ALL {
-                let cell = checks.get(check.label()).unwrap_or_else(|| {
-                    panic!("{tool}: missing check cell {:?}", check.label())
-                });
+                let cell = checks
+                    .get(check.label())
+                    .unwrap_or_else(|| panic!("{tool}: missing check cell {:?}", check.label()));
                 assert!(cell.get("score").and_then(Value::as_f64).is_some());
                 assert!(cell.get("passed").and_then(Value::as_i64).is_some());
             }
@@ -1810,7 +1812,10 @@ mod tests {
             );
         }
         // Scores also landed on the /metrics gauges under profile slugs.
-        assert_eq!(state.metrics.quality_score("best-practice", "total"), Some(best));
+        assert_eq!(
+            state.metrics.quality_score("best-practice", "total"),
+            Some(best)
+        );
         assert!(state.metrics.quality_score("github-dg", "total").is_some());
         let text = state.metrics.render(0, 0, 0);
         assert!(text.contains("sbomdiff_quality_score{profile=\"trivy\",check=\"supplier\"}"));

@@ -838,10 +838,12 @@ mod tests {
         assert_eq!(m.quality_score("trivy-like", "nope"), None);
         let text = m.render(0, 0, 0);
         assert!(text.contains("# TYPE sbomdiff_quality_score gauge"));
-        assert!(text
-            .contains("sbomdiff_quality_score{profile=\"best-practice\",check=\"total\"} 100.000000"));
-        assert!(text
-            .contains("sbomdiff_quality_score{profile=\"trivy-like\",check=\"supplier\"} 62.500000"));
+        assert!(text.contains(
+            "sbomdiff_quality_score{profile=\"best-practice\",check=\"total\"} 100.000000"
+        ));
+        assert!(text.contains(
+            "sbomdiff_quality_score{profile=\"trivy-like\",check=\"supplier\"} 62.500000"
+        ));
         // Re-recording overwrites: it is a gauge, not a counter.
         m.record_quality_score("trivy-like", "supplier", 50.0);
         assert_eq!(m.quality_score("trivy-like", "supplier"), Some(50.0));

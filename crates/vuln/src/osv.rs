@@ -200,21 +200,9 @@ impl OsvRange {
                 for event in group {
                     match event {
                         OsvEvent::Introduced(None) if !do_limits => affected = true,
-                        OsvEvent::Introduced(Some(x)) if !do_limits => {
-                            if v >= x {
-                                affected = true;
-                            }
-                        }
-                        OsvEvent::Fixed(x) if do_limits => {
-                            if v >= x {
-                                affected = false;
-                            }
-                        }
-                        OsvEvent::LastAffected(x) if do_limits => {
-                            if v > x {
-                                affected = false;
-                            }
-                        }
+                        OsvEvent::Introduced(Some(x)) if !do_limits && v >= x => affected = true,
+                        OsvEvent::Fixed(x) if do_limits && v >= x => affected = false,
+                        OsvEvent::LastAffected(x) if do_limits && v > x => affected = false,
                         _ => {}
                     }
                 }
