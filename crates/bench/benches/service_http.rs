@@ -1,6 +1,7 @@
 //! Benchmarks of the serving tier's per-request hot path (DESIGN.md §18):
 //! incremental HTTP/1.1 request parsing as the reactor sees it, response
-//! serialization, and the preserialized zero-copy cache-hit write.
+//! serialization, the preserialized zero-copy cache-hit write, and the
+//! response-cache key the reactor computes for every cacheable request.
 
 use std::sync::Arc;
 
@@ -56,5 +57,24 @@ fn bench_response_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parse_request, bench_response_paths);
+/// The key over bodies of the two perfbench serve workloads' mean request
+/// sizes: `serve-cold` (~72 KB) and `serve-large` (~1.66 MB).
+fn bench_cache_key_sizes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("service_cache_key");
+    for (name, len) in [("cache_key_72KB", 72_000), ("cache_key_1.66MB", 1_660_000)] {
+        let body: Vec<u8> = (0..len).map(|i| b' ' + (i % 95) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| ResponseCache::key(black_box("/v1/diff"), black_box(&body)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_parse_request,
+    bench_response_paths,
+    bench_cache_key_sizes
+);
 criterion_main!(benches);

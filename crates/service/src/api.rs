@@ -39,7 +39,8 @@ pub const MAX_IMPACT_SBOMS: usize = 64;
 pub struct AppState {
     /// Seed used when a request does not carry one.
     pub default_seed: u64,
-    /// The response cache consulted by the worker loop.
+    /// The response cache, probed once per request by the reactor and
+    /// filled by the workers (and by `/v1/batch` sub-requests).
     pub cache: ResponseCache,
     /// The metrics registry.
     pub metrics: Metrics,
@@ -172,27 +173,44 @@ impl Executed {
     }
 }
 
-/// Looks up / fills the response cache around the pure [`handle`] call.
-/// Only successful POST analysis responses are cached: GETs are trivially
-/// cheap and error responses must keep carrying their specific messages.
-/// Degraded responses are partial by construction and must not outlive the
-/// fault that shaped them, so they never enter the cache.
+/// The response-cache key of a cacheable request, `None` for the rest.
+/// Only POST analysis requests are cacheable: GETs are trivially cheap.
+pub(crate) fn cache_key(request: &Request) -> Option<u128> {
+    (request.method == "POST" && request.path.starts_with("/v1/"))
+        .then(|| ResponseCache::key(&request.path, &request.body))
+}
+
+/// Looks up / fills the response cache around the pure [`handle`] call:
+/// one lookup, then `execute_miss` when it misses.
 pub fn execute_cached(state: &AppState, request: &Request, queue_depth: usize) -> Executed {
-    let cacheable = request.method == "POST" && request.path.starts_with("/v1/");
-    if !cacheable {
-        return Executed::Miss(handle(state, request, queue_depth));
-    }
-    let key = ResponseCache::key(&request.path, &request.body);
-    if let Some(cached) = state.cache.get(key) {
+    let key = cache_key(request);
+    if let Some(cached) = key.and_then(|key| state.cache.get(key)) {
         return Executed::Hit(cached);
     }
+    execute_miss(state, request, key, queue_depth)
+}
+
+/// Runs [`handle`] for a request whose cache lookup under `key` (its
+/// [`cache_key`]) already missed, and inserts the response without a
+/// second lookup. Only successful responses are cached: error responses
+/// must keep carrying their specific messages. Degraded responses are
+/// partial by construction and must not outlive the fault that shaped
+/// them, so they never enter the cache.
+pub(crate) fn execute_miss(
+    state: &AppState,
+    request: &Request,
+    key: Option<u128>,
+    queue_depth: usize,
+) -> Executed {
     let response = handle(state, request, queue_depth);
-    if response.is_success() && !response.degraded {
-        let entry = Arc::new(CacheEntry::new(response));
-        state.cache.put(key, Arc::clone(&entry));
-        return Executed::Hit(entry);
+    match key {
+        Some(key) if response.is_success() && !response.degraded => {
+            let entry = Arc::new(CacheEntry::new(response));
+            state.cache.put(key, Arc::clone(&entry));
+            Executed::Hit(entry)
+        }
+        _ => Executed::Miss(response),
     }
-    Executed::Miss(response)
 }
 
 /// `POST /v1/batch`: many analysis sub-requests in one HTTP request,

@@ -221,7 +221,11 @@ impl Metrics {
     }
 
     /// Records one finished request: its endpoint, response status, and
-    /// total latency from accept to response-written.
+    /// latency. The server's clock starts when the reactor begins parsing
+    /// the buffered request (the task's `parsed_at`) and stops once the
+    /// response is known — the handler returned, or an inline cache hit,
+    /// 429 or 503 was decided — before serialization and the socket write.
+    /// A 408 is timed from the start of the stalled read.
     pub fn record(&self, endpoint: Endpoint, status: u16, latency: Duration) {
         let stats = &self.endpoints[endpoint.index()];
         stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -649,7 +653,7 @@ impl Metrics {
             &mut out,
             "sbomdiff_latency_seconds",
             "histogram",
-            "Request latency from accept to response written, by endpoint.",
+            "Request latency from the start of request parsing to the handler's return (before serialization and the socket write), by endpoint.",
         );
         for ep in Endpoint::ALL {
             let stats = &self.endpoints[ep.index()];

@@ -6,14 +6,19 @@
 //! follows `ParseCache` in `sbomdiff-generators`: 16 mutex-guarded shards
 //! selected by key hash, with hit/miss counters feeding `/metrics`.
 //!
-//! The key is a 128-bit FNV-1a digest of `path + NUL + body`, computed with
-//! two independent offset bases. A collision would require both 64-bit
-//! streams to collide simultaneously; at service cache sizes (hundreds of
-//! entries) that is negligible, and the cache never stores anything but the
-//! deterministic response, so a collision could only serve another valid
-//! response, never corrupt state.
+//! The key is 128 bits: two domain-separated 64-bit halves of std's
+//! SipHash-1-3 ([`DefaultHasher::new`]) over `path + NUL + body`, computed
+//! once per request by the reactor (DESIGN.md §18). Its fixed keys make a
+//! key, its shard and the LRU order repeat from run to run of one build;
+//! the key never leaves the process. A false hit needs both halves to
+//! collide at once, which is negligible at service cache sizes for
+//! accidental collisions (fixed keys give no protection against crafted
+//! ones; the service listens on 127.0.0.1 only). Even then the cache only
+//! stores deterministic responses, so a collision could serve another
+//! valid response, never corrupt state.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -82,11 +87,18 @@ impl ResponseCache {
         }
     }
 
-    /// The cache key for a request.
+    /// The cache key for a request: SipHash-1-3 of `path + NUL + body`,
+    /// once per half, each half behind its own leading domain byte.
     pub fn key(path: &str, body: &[u8]) -> u128 {
-        let lo = fnv1a(0xcbf2_9ce4_8422_2325, path.as_bytes(), body);
-        let hi = fnv1a(0x6c62_272e_07bb_0142, path.as_bytes(), body);
-        ((hi as u128) << 64) | lo as u128
+        let half = |domain: u8| {
+            let mut hasher = DefaultHasher::new();
+            hasher.write_u8(domain);
+            hasher.write(path.as_bytes());
+            hasher.write_u8(0);
+            hasher.write(body);
+            hasher.finish()
+        };
+        ((half(1) as u128) << 64) | half(0) as u128
     }
 
     /// Looks up a cached response, bumping its recency.
@@ -170,16 +182,8 @@ impl ResponseCache {
     }
 
     fn shard(&self, key: u128) -> &Mutex<Shard> {
-        &self.shards[(key as u64 ^ (key >> 64) as u64) as usize % SHARDS]
+        &self.shards[key as usize % SHARDS]
     }
-}
-
-fn fnv1a(offset: u64, a: &[u8], b: &[u8]) -> u64 {
-    let mut h = offset;
-    for &byte in a.iter().chain([0u8].iter()).chain(b.iter()) {
-        h = (h ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -200,6 +204,11 @@ mod tests {
         let c = ResponseCache::key("/v1/analyze", b"{\"a\":1}");
         assert_ne!(a, b);
         assert_ne!(a, c);
+        // The NUL separator keeps the path/body boundary in the key.
+        assert_ne!(
+            ResponseCache::key("/v1/dif", b"fx"),
+            ResponseCache::key("/v1/diff", b"x")
+        );
         assert_eq!(a, ResponseCache::key("/v1/diff", b"{\"a\":1}"));
     }
 
@@ -231,6 +240,20 @@ mod tests {
         assert!(cache.len() <= 16, "len={}", cache.len());
         // The last-inserted key's shard holds exactly that key.
         assert!(cache.get(*keys.last().unwrap()).is_some());
+    }
+
+    #[test]
+    fn keys_spread_over_every_shard() {
+        // One entry per shard: 400 distinct keys must land in all 16
+        // shards, so the cache ends up holding 16 responses.
+        let cache = ResponseCache::new(16);
+        for i in 0..400u32 {
+            cache.put(
+                ResponseCache::key("/v1/analyze", &i.to_le_bytes()),
+                resp(&i.to_string()),
+            );
+        }
+        assert_eq!(cache.len(), 16);
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //!    edge-triggered, and drains readiness events into per-connection
 //!    [`Conn`] state machines — HTTP/1.1 keep-alive and pipelining are
 //!    handled entirely here, one thread, zero locks on the read path;
-//! 2. every parsed request is stamped and pushed into the bounded
-//!    [`BoundedQueue`]; a full queue is answered `429` in request order on
-//!    the same connection — admission control happens before any handler
-//!    runs, and the connection survives the rejection;
+//! 2. every parsed request is stamped and, when cacheable, keyed and
+//!    probed in the response cache: a hit is answered inline with the
+//!    entry's preserialized wire bytes. The rest are pushed into the
+//!    bounded [`BoundedQueue`] with their key; a full queue is answered
+//!    `429` in request order on the same connection — admission control
+//!    happens before any handler runs, and the connection survives the
+//!    rejection;
 //! 3. a worker pops the task and first checks the per-request deadline:
 //!    work that already waited longer than `deadline` is answered `503`
 //!    without being executed (its result could not reach the client in
-//!    time anyway); otherwise the handler runs behind the response cache,
-//!    and cache hits reuse the entry's preserialized wire bytes;
+//!    time anyway); otherwise the handler runs and a successful response
+//!    is cached under the task's key, with no second hash or lookup;
 //! 4. completions flow back over a mutex'd vector + eventfd wakeup; the
 //!    reactor slots each response into its pipeline position and flushes.
 //!
@@ -50,7 +53,6 @@ use crate::queue::BoundedQueue;
 use crate::reactor::{
     bind_listener, set_nodelay, Event, Poller, Waker, LISTENER_TOKEN, WAKER_TOKEN,
 };
-use crate::respcache::ResponseCache;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -106,6 +108,9 @@ struct Task {
     generation: u64,
     seq: u64,
     request: Request,
+    /// The response-cache key the reactor already probed and missed;
+    /// `None` for requests that are not cacheable.
+    key: Option<u128>,
     parsed_at: Instant,
     endpoint: Endpoint,
     close: bool,
@@ -224,7 +229,7 @@ fn worker_loop(
             // this catch is a counted safety net, not a control-flow path;
             // the chaos harness asserts the counter stays at zero.
             let executed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                api::execute_cached(state, &task.request, queue.len())
+                api::execute_miss(state, &task.request, task.key, queue.len())
             })) {
                 Ok(executed) => executed,
                 Err(_) => {
@@ -453,21 +458,20 @@ impl EventLoop {
                 // Inline hot path: answer cacheable repeats directly from
                 // the reactor with the entry's preserialized bytes, skipping
                 // the queue and both thread handoffs. Only compute (misses)
-                // is subject to admission control.
-                if parsed.request.method == "POST" && parsed.request.path.starts_with("/v1/") {
-                    let key = ResponseCache::key(&parsed.request.path, &parsed.request.body);
-                    if let Some(entry) = self.state.cache.get(key) {
-                        self.state
-                            .metrics
-                            .record(endpoint, entry.response.status, now.elapsed());
-                        let buf = if close {
-                            WriteBuf::Owned(entry.response.serialize(true))
-                        } else {
-                            WriteBuf::Shared(Arc::clone(&entry.wire))
-                        };
-                        conn.complete(parsed.seq, buf, close);
-                        continue;
-                    }
+                // is subject to admission control. This probe is the
+                // request's one cache lookup; a miss carries its key along.
+                let key = api::cache_key(&parsed.request);
+                if let Some(entry) = key.and_then(|key| self.state.cache.get(key)) {
+                    self.state
+                        .metrics
+                        .record(endpoint, entry.response.status, now.elapsed());
+                    let buf = if close {
+                        WriteBuf::Owned(entry.response.serialize(true))
+                    } else {
+                        WriteBuf::Shared(Arc::clone(&entry.wire))
+                    };
+                    conn.complete(parsed.seq, buf, close);
+                    continue;
                 }
                 conn.inflight += 1;
                 let task = Task {
@@ -475,6 +479,7 @@ impl EventLoop {
                     generation: conn.generation,
                     seq: parsed.seq,
                     request: parsed.request,
+                    key,
                     parsed_at: now,
                     endpoint,
                     close,

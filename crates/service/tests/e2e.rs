@@ -112,10 +112,37 @@ fn identical_payloads_are_cached_and_byte_identical() {
     assert_eq!((s1, s2), (200, 200));
     assert_eq!(b1, b2, "identical payloads must get byte-identical bodies");
     let (_, metrics) = http_request(addr, "GET", "/metrics", "").unwrap();
-    assert!(
-        metrics.contains("sbomdiff_cache_hits_total 1"),
-        "expected one cache hit:\n{metrics}"
-    );
+    // One lookup per request: the cold request misses once, its repeat hits.
+    for line in [
+        "sbomdiff_cache_hits_total 1",
+        "sbomdiff_cache_misses_total 1",
+        "sbomdiff_cache_hit_ratio 0.500000",
+    ] {
+        assert!(metrics.contains(line), "expected {line}:\n{metrics}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn batch_counts_one_lookup_per_envelope_and_entry() {
+    // Two identical /v1/analyze entries in one batch on a fresh server: the
+    // envelope misses, the first entry misses, the second entry hits.
+    let mut server = start();
+    let addr = server.addr();
+    let payloads = build_payloads(42, 1);
+    let (path, body) = &payloads[0];
+    assert_eq!(path, "/v1/analyze");
+    let entry = format!("{{\"path\":\"{path}\",\"body\":{body}}}");
+    let batch = format!("{{\"requests\":[{entry},{entry}]}}");
+    let (status, _) = http_request(addr, "POST", "/v1/batch", &batch).unwrap();
+    assert_eq!(status, 200);
+    let (_, metrics) = http_request(addr, "GET", "/metrics", "").unwrap();
+    for line in [
+        "sbomdiff_cache_hits_total 1",
+        "sbomdiff_cache_misses_total 2",
+    ] {
+        assert!(metrics.contains(line), "expected {line}:\n{metrics}");
+    }
     server.shutdown();
 }
 
