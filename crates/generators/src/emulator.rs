@@ -394,7 +394,7 @@ impl ToolEmulator<'_> {
                 // NB: the query must stay ahead of the visited check — the
                 // flaky registry's failure sequence is a function of query
                 // order, and real resolvers re-query duplicate edges too.
-                let Some(resolved) = client.latest_matching_ref(&edge.name, &edge.req) else {
+                let Some(resolved) = client.follow_ref(edge) else {
                     sbom.push_diagnostic(
                         Diagnostic::new(
                             DiagClass::RegistryFailure,
@@ -781,12 +781,11 @@ mod marker_blindness_tests {
             name: "rootpkg".into(),
             versions: vec![VersionEntry {
                 version: Version::new(2, 0, 0),
-                deps: vec![RegistryDep {
-                    name: "winonly".into(),
-                    req: VersionReq::parse(">=1.0", ConstraintFlavor::Pep440).unwrap(),
-                    extra: None,
-                    platform_excluded: true,
-                }],
+                deps: vec![RegistryDep::new(
+                    "winonly",
+                    VersionReq::parse(">=1.0", ConstraintFlavor::Pep440).unwrap(),
+                )
+                .with_platform_excluded(true)],
                 yanked: false,
             }],
         });

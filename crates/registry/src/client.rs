@@ -62,6 +62,19 @@ impl FlakyRegistry<'_> {
         })
     }
 
+    /// [`latest_matching_ref`](Self::latest_matching_ref) for one of the
+    /// universe's own edges: the same fault site, key and failure tick, but
+    /// the version comes from the edge's memo ([`PackageUniverse::follow`])
+    /// instead of a fresh selection.
+    pub fn follow_ref(&self, edge: &RegistryDep) -> Option<&Version> {
+        guarded(fault::sites::REGISTRY_LATEST_MATCHING, &edge.name, || {
+            if self.fails(&edge.name) {
+                return None;
+            }
+            self.inner.follow(edge).map(|(_, version, _)| version)
+        })
+    }
+
     /// [`PackageUniverse::deps_of`] behind the failure model, `None` for an
     /// unknown package — the transitive-expansion BFS visits every edge of
     /// every resolved package, so the edges are borrowed.

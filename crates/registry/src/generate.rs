@@ -118,12 +118,11 @@ pub fn generate(config: &UniverseConfig) -> PackageUniverse {
                     None
                 };
                 let platform_excluded = rng.gen_bool(config.platform_excluded_prob);
-                deps.push(RegistryDep {
-                    name: target.clone(),
-                    req,
-                    extra,
-                    platform_excluded,
-                });
+                deps.push(
+                    RegistryDep::new(target.clone(), req)
+                        .with_extra(extra)
+                        .with_platform_excluded(platform_excluded),
+                );
             }
             ventries.push(VersionEntry {
                 version: version.clone(),
@@ -355,18 +354,10 @@ fn curated(eco: Ecosystem, uni: &mut PackageUniverse) {
                             RegistryDep::new("idna", req(">=2.5,<4")),
                             RegistryDep::new("charset-normalizer", req(">=2,<4")),
                             RegistryDep::new("certifi", req(">=2017.4.17")),
-                            RegistryDep {
-                                name: "pyopenssl".into(),
-                                req: req(">=0.14"),
-                                extra: Some("security".into()),
-                                platform_excluded: false,
-                            },
-                            RegistryDep {
-                                name: "pysocks".into(),
-                                req: req(">=1.5.6"),
-                                extra: Some("socks".into()),
-                                platform_excluded: false,
-                            },
+                            RegistryDep::new("pyopenssl", req(">=0.14"))
+                                .with_extra(Some("security".into())),
+                            RegistryDep::new("pysocks", req(">=1.5.6"))
+                                .with_extra(Some("socks".into())),
                         ],
                     ),
                 ],

@@ -22,7 +22,7 @@ pub mod universe;
 
 pub use client::FlakyRegistry;
 pub use generate::UniverseConfig;
-pub use universe::{PackageEntry, PackageUniverse, RegistryDep, VersionEntry};
+pub use universe::{Landing, PackageEntry, PackageUniverse, RegistryDep, VersionEntry};
 
 use std::collections::BTreeMap;
 

@@ -1,10 +1,18 @@
 //! The package universe data model and query API.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ptr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use sbomdiff_types::{Ecosystem, Version, VersionReq};
 
 /// A dependency edge in registry metadata.
+///
+/// An edge also carries a private memo of where it lands in the universe
+/// that holds it (see [`PackageUniverse::follow`]), so outside this crate
+/// it is built with [`RegistryDep::new`] and its `with_*` methods.
 #[derive(Debug, Clone)]
 pub struct RegistryDep {
     /// Target package name (registry display form).
@@ -17,6 +25,20 @@ pub struct RegistryDep {
     /// platform. The ground-truth resolver skips such edges; sbom-tool's
     /// transitive resolution ignores markers and follows them (§V-H).
     pub platform_excluded: bool,
+    /// Where the edge lands: filled by the first [`PackageUniverse::follow`]
+    /// of it (`None` inside = a dead edge), cleared by
+    /// [`PackageUniverse::insert`].
+    target: OnceLock<Option<EdgeTarget>>,
+}
+
+/// Positions in a universe: the target package, the first published entry
+/// equal to the selected version (whose edges a resolution expands), and
+/// the selected entry (whose spelling it reports).
+#[derive(Debug, Clone, Copy)]
+struct EdgeTarget {
+    package: u32,
+    published: u32,
+    selected: u32,
 }
 
 impl RegistryDep {
@@ -27,7 +49,21 @@ impl RegistryDep {
             req,
             extra: None,
             platform_excluded: false,
+            target: OnceLock::new(),
         }
+    }
+
+    /// Gates the edge on an extra (`None` = unconditional).
+    pub fn with_extra(mut self, extra: Option<String>) -> Self {
+        self.extra = extra;
+        self
+    }
+
+    /// Sets whether an environment marker excludes the edge on the
+    /// evaluation platform.
+    pub fn with_platform_excluded(mut self, platform_excluded: bool) -> Self {
+        self.platform_excluded = platform_excluded;
+        self
     }
 }
 
@@ -101,13 +137,55 @@ impl PackageEntry {
     pub fn published(&self, version: &Version) -> Option<&VersionEntry> {
         self.versions.iter().find(|v| &v.version == version)
     }
+
+    /// [`select`](Self::select), then [`published`](Self::published) of
+    /// the selected version.
+    fn land(&self, req: Option<&VersionReq>) -> Option<(&Version, &VersionEntry)> {
+        let version = self.select(req)?;
+        Some((version, self.published(version)?))
+    }
+
+    fn clear_memos(&mut self) {
+        for dep in self.versions.iter_mut().flat_map(|v| &mut v.deps) {
+            dep.target.take();
+        }
+    }
 }
 
+/// Where a visit lands: the package, its selected version (in the spelling
+/// of the selected entry) and the first published entry equal to that
+/// version, whose edges a resolution expands.
+pub type Landing<'u> = (&'u PackageEntry, &'u Version, &'u VersionEntry);
+
 /// A complete synthetic registry for one ecosystem.
-#[derive(Debug, Clone)]
+///
+/// Packages are stored by position behind a canonical-name index, so an
+/// edge can memoize where it lands as three positions (see
+/// [`follow`](Self::follow)).
+#[derive(Debug)]
 pub struct PackageUniverse {
     ecosystem: Ecosystem,
-    packages: BTreeMap<String, PackageEntry>,
+    /// Canonical name → position in `packages`.
+    index: BTreeMap<String, u32>,
+    packages: Vec<PackageEntry>,
+    /// Set by the first edge memo filled since the last clearing;
+    /// [`insert`](Self::insert) clears every memo when it is set.
+    memos_filled: AtomicBool,
+}
+
+/// A clone keeps the edge memos, which stay valid because the clone has
+/// the same positions.
+impl Clone for PackageUniverse {
+    fn clone(&self) -> Self {
+        PackageUniverse {
+            ecosystem: self.ecosystem,
+            index: self.index.clone(),
+            packages: self.packages.clone(),
+            // Conservative: memos copied while another thread filled them
+            // are cleared by the clone's first insert either way.
+            memos_filled: AtomicBool::new(true),
+        }
+    }
 }
 
 impl PackageUniverse {
@@ -116,7 +194,9 @@ impl PackageUniverse {
     pub fn new(ecosystem: Ecosystem) -> Self {
         PackageUniverse {
             ecosystem,
-            packages: BTreeMap::new(),
+            index: BTreeMap::new(),
+            packages: Vec::new(),
+            memos_filled: AtomicBool::new(false),
         }
     }
 
@@ -138,7 +218,7 @@ impl PackageUniverse {
 
     /// Iterates over package display names (sorted by canonical name).
     pub fn package_names(&self) -> impl Iterator<Item = &str> {
-        self.packages.values().map(|p| p.name.as_str())
+        self.entries().map(|(name, _)| name)
     }
 
     /// Iterates over `(display name, published versions ascending)` pairs
@@ -146,24 +226,86 @@ impl PackageUniverse {
     /// package (advisory generation), instead of a `package_names` walk
     /// with a normalized re-`lookup` per name.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &[VersionEntry])> {
-        self.packages
-            .values()
-            .map(|p| (p.name.as_str(), p.versions.as_slice()))
+        self.index.values().map(|&at| {
+            let p = &self.packages[at as usize];
+            (p.name.as_str(), p.versions.as_slice())
+        })
     }
 
     /// Inserts (or replaces) a package entry.
-    pub fn insert(&mut self, entry: PackageEntry) {
+    ///
+    /// Clears every edge memo once any has been filled (a replaced entry
+    /// moves versions, a new package can revive a dead edge), and always
+    /// the memos the inserted entry carries (an entry cloned out of another
+    /// universe carries that universe's positions). Generation, which
+    /// inserts package by package before any edge is followed, stays
+    /// linear in the number of packages.
+    pub fn insert(&mut self, mut entry: PackageEntry) {
+        if std::mem::take(self.memos_filled.get_mut()) {
+            self.packages.iter_mut().for_each(PackageEntry::clear_memos);
+        }
+        entry.clear_memos();
         let key = sbomdiff_types::name::normalize(self.ecosystem, &entry.name);
-        self.packages.insert(key, entry);
+        match self.index.entry(key) {
+            Entry::Occupied(slot) => self.packages[*slot.get() as usize] = entry,
+            Entry::Vacant(slot) => {
+                slot.insert(u32::try_from(self.packages.len()).expect("under 2^32 packages"));
+                self.packages.push(entry);
+            }
+        }
     }
 
     /// Looks a package up by name (ecosystem normalization applied — PyPI
     /// treats `Flask_Login` and `flask-login` as the same package).
     pub fn lookup(&self, name: &str) -> Option<&PackageEntry> {
+        self.position(name).map(|at| &self.packages[at as usize])
+    }
+
+    fn position(&self, name: &str) -> Option<u32> {
         // Borrowed-key fast path: corpus and resolver names are usually
         // already canonical, and this lookup is the hottest registry op.
         let key = sbomdiff_types::name::normalized(self.ecosystem, name);
-        self.packages.get(key.as_ref())
+        self.index.get(key.as_ref()).copied()
+    }
+
+    /// Where a root visit of `name` at `req` lands: [`lookup`](Self::lookup),
+    /// then [`PackageEntry::select`], then [`PackageEntry::published`].
+    /// Computed on every call.
+    pub fn land(&self, name: &str, req: Option<&VersionReq>) -> Option<Landing<'_>> {
+        let entry = self.lookup(name)?;
+        let (version, published) = entry.land(req)?;
+        Some((entry, version, published))
+    }
+
+    /// [`land`](Self::land) for `edge`, one of this universe's own edges,
+    /// memoized in the edge: the first call (from any thread) stores three
+    /// positions, later calls index them. [`insert`](Self::insert) clears
+    /// the memos, so the answer is always that of `land`.
+    pub fn follow(&self, edge: &RegistryDep) -> Option<Landing<'_>> {
+        let target = (*edge.target.get_or_init(|| {
+            // Relaxed: only `insert` reads the flag, through `&mut self`,
+            // so whatever handed it exclusive access ordered this store.
+            self.memos_filled.store(true, Ordering::Relaxed);
+            let package = self.position(&edge.name)?;
+            let entry = &self.packages[package as usize];
+            let (version, published) = entry.land(Some(&edge.req))?;
+            // Both answers borrow from `entry.versions`; recover positions.
+            let at = |found: Option<usize>| u32::try_from(found?).ok();
+            Some(EdgeTarget {
+                package,
+                published: at(entry.versions.iter().position(|v| ptr::eq(v, published)))?,
+                selected: at(entry
+                    .versions
+                    .iter()
+                    .position(|v| ptr::eq(&v.version, version)))?,
+            })
+        }))?;
+        let entry = &self.packages[target.package as usize];
+        Some((
+            entry,
+            &entry.versions[target.selected as usize].version,
+            &entry.versions[target.published as usize],
+        ))
     }
 
     /// All versions of a package, ascending.
@@ -224,18 +366,8 @@ mod tests {
                     version: Version::new(1, 5, 0),
                     deps: vec![
                         RegistryDep::new("base", req(">=1.2")),
-                        RegistryDep {
-                            name: "sec".into(),
-                            req: req(">=2.0"),
-                            extra: Some("security".into()),
-                            platform_excluded: false,
-                        },
-                        RegistryDep {
-                            name: "winonly".into(),
-                            req: req(">=0.1"),
-                            extra: None,
-                            platform_excluded: true,
-                        },
+                        RegistryDep::new("sec", req(">=2.0")).with_extra(Some("security".into())),
+                        RegistryDep::new("winonly", req(">=0.1")).with_platform_excluded(true),
                     ],
                     yanked: false,
                 },
@@ -294,5 +426,41 @@ mod tests {
         assert!(uni
             .deps_of("demo-pkg", &Version::new(9, 9, 9), &[], true)
             .is_empty());
+    }
+
+    /// `follow` answers what `land` answers, memoized or not, and an
+    /// insert makes a memoized edge see the new entry.
+    #[test]
+    fn follow_matches_land_across_inserts() {
+        let mut uni = sample_universe();
+        let base = |versions: &[(u64, u64)]| PackageEntry {
+            name: "base".into(),
+            versions: versions
+                .iter()
+                .map(|&(major, minor)| VersionEntry {
+                    version: Version::new(major, minor, 0),
+                    deps: vec![],
+                    yanked: false,
+                })
+                .collect(),
+        };
+        let followed = |uni: &PackageUniverse, edge: usize| {
+            let dep = &uni.lookup("demo-pkg").unwrap().versions[1].deps[edge];
+            let landed = uni
+                .land(&dep.name, Some(&dep.req))
+                .map(|(_, v, p)| (v, p as *const _));
+            let memo = uni.follow(dep).map(|(_, v, p)| (v, p as *const _));
+            assert_eq!(landed, memo, "edge {edge}");
+            memo.map(|(v, _)| v.clone())
+        };
+        assert_eq!(followed(&uni, 0), None); // dead: no "base" yet
+        uni.insert(base(&[(1, 2)]));
+        assert_eq!(followed(&uni, 0), Some(Version::new(1, 2, 0)));
+        assert_eq!(followed(&uni, 0), Some(Version::new(1, 2, 0))); // warm
+        uni.insert(base(&[(1, 0), (1, 2), (1, 9)]));
+        assert_eq!(followed(&uni, 0), Some(Version::new(1, 9, 0)));
+        let copy = uni.clone();
+        assert_eq!(followed(&copy, 0), Some(Version::new(1, 9, 0)));
+        assert_eq!(followed(&uni, 1), None); // "sec" stays dead
     }
 }

@@ -36,7 +36,7 @@ proptest! {
     }
 
     /// The flaky wrapper never fabricates data: every successful answer of
-    /// its four queries — the ones the sbom-tool emulator calls — is the
+    /// its five queries — the ones the sbom-tool emulator calls — is the
     /// underlying universe's answer, borrowed from the same entry.
     #[test]
     fn flaky_registry_is_truthful(seed in 0u64..40, rate in 0.0f64..1.0) {
@@ -65,6 +65,12 @@ proptest! {
                     }
                 }
                 for v in &uni.lookup(name).unwrap().versions {
+                    for edge in &v.deps {
+                        if let Some(m) = flaky.follow_ref(edge) {
+                            let want = uni.latest_matching(&edge.name, &edge.req);
+                            prop_assert!(want.is_some_and(|u| std::ptr::eq(u, m)), "{name} -> {}", edge.name);
+                        }
+                    }
                     let extras: Vec<String> =
                         v.deps.iter().filter_map(|d| d.extra.clone()).collect();
                     for honor_markers in [true, false] {

@@ -3,11 +3,11 @@
 //! Used by the corpus generator to synthesize lockfiles consistent with raw
 //! metadata, and by the ground-truth dry run (via pip-flavored settings).
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use sbomdiff_faultline as fault;
-use sbomdiff_registry::PackageUniverse;
+use sbomdiff_registry::{PackageUniverse, RegistryDep};
 use sbomdiff_types::{DepScope, Version, VersionReq};
 
 /// A root (directly declared) dependency to resolve.
@@ -84,14 +84,18 @@ impl Resolution {
     }
 }
 
-/// One queued visit. Everything in it is borrowed from the caller's roots
-/// or from the registry's edges, so queueing a visit never allocates.
+/// One queued visit. It borrows its root from the caller or its edge from
+/// the registry, so queueing a visit never allocates.
 struct Visit<'a> {
-    name: &'a str,
-    req: Option<&'a VersionReq>,
-    extras: &'a [String],
+    via: Via<'a>,
     scope: DepScope,
-    transitive: bool,
+}
+
+/// What a visit follows: a declared root, or a registry edge (transitive,
+/// no extras), whose landing the registry memoizes.
+enum Via<'a> {
+    Root(&'a RootDep),
+    Edge(&'a RegistryDep),
 }
 
 /// Resolves roots and their transitive closure against a registry.
@@ -106,16 +110,15 @@ pub fn resolve(
 ) -> Resolution {
     let mut resolution = Resolution::default();
     // Key: package identity under the policy — the name as spelled, plus
-    // the major under PerMajor (0 otherwise).
-    let mut chosen: BTreeMap<(&str, u64), usize> = BTreeMap::new();
+    // the major under PerMajor (0 otherwise). Hashed with the default
+    // (randomly keyed) hasher: root names are outside input, and nothing
+    // iterates the map.
+    let mut chosen: HashMap<(&str, u64), usize> = HashMap::new();
     let mut queue: VecDeque<Visit<'_>> = roots
         .iter()
-        .map(|r| Visit {
-            name: &r.name,
-            req: r.req.as_ref(),
-            extras: &r.extras,
-            scope: r.scope,
-            transitive: false,
+        .map(|root| Visit {
+            via: Via::Root(root),
+            scope: root.scope,
         })
         .collect();
 
@@ -125,21 +128,26 @@ pub fn resolve(
         if guard > 100_000 {
             break; // defensive bound; registry DAGs terminate well below this
         }
+        let (name, extras, transitive): (&str, &[String], bool) = match visit.via {
+            Via::Root(root) => (&root.name, &root.extras, false),
+            Via::Edge(edge) => (&edge.name, &[], true),
+        };
         // Fault point: an injected failure drops this visit exactly like an
         // unresolvable package — roots land in `failures`, transitives are
         // silently pruned (matching real resolver behavior on a dead edge).
-        let selected = if fault::point!(fault::sites::RESOLVER_VISIT, visit.name).is_some() {
+        let landing = if fault::point!(fault::sites::RESOLVER_VISIT, name).is_some() {
             None
         } else {
-            registry
-                .lookup(visit.name)
-                .and_then(|entry| Some((entry, entry.select(visit.req)?)))
+            match visit.via {
+                Via::Root(root) => registry.land(name, root.req.as_ref()),
+                Via::Edge(edge) => registry.follow(edge),
+            }
         };
-        let Some((entry, version)) = selected else {
-            if visit.transitive {
+        let Some((_, version, published)) = landing else {
+            if transitive {
                 resolution.pruned_transitives += 1;
             } else {
-                resolution.failures.push(visit.name.to_string());
+                resolution.failures.push(name.to_string());
             }
             continue;
         };
@@ -147,7 +155,7 @@ pub fn resolve(
             DedupPolicy::PerMajor => version.segment(0),
             _ => 0,
         };
-        match chosen.entry((visit.name, major)) {
+        match chosen.entry((name, major)) {
             Entry::Occupied(slot) => {
                 let existing = &mut resolution.packages[*slot.get()];
                 if policy != DedupPolicy::HighestWins || existing.version >= *version {
@@ -159,26 +167,21 @@ pub fn resolve(
             Entry::Vacant(slot) => {
                 slot.insert(resolution.packages.len());
                 resolution.packages.push(ResolvedEntry {
-                    name: visit.name.to_string(),
+                    name: name.to_string(),
                     version: version.clone(),
                     scope: visit.scope,
-                    transitive: visit.transitive,
+                    transitive,
                 });
             }
         }
-        if let Some(published) = entry.published(version) {
-            queue.extend(
-                published
-                    .active_deps(visit.extras, honor_markers)
-                    .map(|edge| Visit {
-                        name: &edge.name,
-                        req: Some(&edge.req),
-                        extras: &[],
-                        scope: visit.scope,
-                        transitive: true,
-                    }),
-            );
-        }
+        queue.extend(
+            published
+                .active_deps(extras, honor_markers)
+                .map(|edge| Visit {
+                    via: Via::Edge(edge),
+                    scope: visit.scope,
+                }),
+        );
     }
     resolution
 }
@@ -186,7 +189,7 @@ pub fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbomdiff_registry::{PackageEntry, RegistryDep, VersionEntry};
+    use sbomdiff_registry::{PackageEntry, VersionEntry};
     use sbomdiff_types::{ConstraintFlavor, Ecosystem};
 
     fn req(s: &str) -> VersionReq {

@@ -6,15 +6,24 @@
 //! property below compares the two over generated universes of all nine
 //! ecosystems, and the unit cases pin the rules a borrowed walk could most
 //! easily break.
+//!
+//! `engine::resolve` follows registry edges through the memo each edge
+//! keeps of where it lands; the reference only asks name-keyed queries.
+//! The property resolves each universe six times (three policies, markers
+//! on and off), so all but the first resolution of every case run on warm
+//! memos. The memo cases below insert into a universe after resolving it,
+//! move an entry between universes, and race threads on cold memos.
 
 mod reference;
 
 use std::collections::BTreeSet;
+use std::sync::Barrier;
+use std::thread;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use reference::{summary, POLICIES};
+use reference::{summary, Summary, POLICIES};
 use sbomdiff_registry::{PackageEntry, PackageUniverse, RegistryDep, UniverseConfig, VersionEntry};
 use sbomdiff_resolver::engine::{resolve, DedupPolicy, RootDep};
 use sbomdiff_types::{ConstraintFlavor, DepScope, Ecosystem, Version, VersionReq};
@@ -87,7 +96,8 @@ fn draw_root(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // 64 cases unless `PROPTEST_CASES` says otherwise (CI runs 1,024).
+    #![proptest_config(ProptestConfig::default())]
 
     /// Same packages (name, version spelling, scope, transitive flag) in
     /// the same order, same failures, same pruned count.
@@ -317,4 +327,165 @@ fn edges_come_from_the_first_equal_published_entry() {
         ["dup@1.0.0", "first@1.0.0"]
     );
     assert_equivalent(&uni, &roots).unwrap();
+}
+
+/// `entry` plus a patch release right after `at`, carrying the edges of the
+/// entry it follows.
+fn with_patch_release(entry: &PackageEntry, at: &Version) -> PackageEntry {
+    let mut entry = entry.clone();
+    let newer = at.bump_patch();
+    let i = entry.versions.partition_point(|v| v.version <= newer);
+    let mut release = entry.versions[i - 1].clone();
+    release.version = newer;
+    entry.versions.insert(i, release);
+    entry
+}
+
+/// Resolving, then inserting a newer release of every transitive target,
+/// then resolving again gives what the same inserts give on a universe
+/// that was never resolved: `insert` clears the memos the first
+/// resolution filled.
+#[test]
+fn insert_after_resolving_matches_a_fresh_universe() {
+    let mut moved = 0;
+    for eco in Ecosystem::ALL {
+        let config = UniverseConfig {
+            package_count: 120,
+            ..UniverseConfig::for_ecosystem(eco, 5)
+        };
+        let mut uni = PackageUniverse::generate(&config);
+        let roots: Vec<RootDep> = uni
+            .package_names()
+            .step_by(11)
+            .map(|n| RootDep::new(n, None))
+            .collect();
+        let before = summary(&resolve(&uni, &roots, DedupPolicy::HighestWins, true));
+        let patched: Vec<PackageEntry> = resolve(&uni, &roots, DedupPolicy::PerMajor, false)
+            .packages
+            .iter()
+            .filter(|p| p.transitive)
+            .map(|p| with_patch_release(uni.lookup(&p.name).unwrap(), &p.version))
+            .collect();
+        let mut fresh = PackageUniverse::generate(&config);
+        for entry in patched {
+            uni.insert(entry.clone());
+            fresh.insert(entry);
+        }
+        for policy in POLICIES {
+            for honor_markers in [true, false] {
+                let got = summary(&resolve(&uni, &roots, policy, honor_markers));
+                let want = summary(&resolve(&fresh, &roots, policy, honor_markers));
+                assert_eq!(got, want, "{eco} {policy:?} markers {honor_markers}");
+            }
+        }
+        assert_equivalent(&uni, &roots).unwrap();
+        let after = summary(&resolve(&uni, &roots, DedupPolicy::HighestWins, true));
+        moved += usize::from(after != before);
+    }
+    assert!(moved > 0, "no patch release was ever selected");
+}
+
+/// An entry cloned out of a resolved universe carries that universe's
+/// positions in its edge memos; inserted into another universe it must
+/// resolve as if built there.
+#[test]
+fn entry_cloned_from_a_resolved_universe_matches_a_fresh_universe() {
+    let app = |lib_req: &str| {
+        package(
+            "app",
+            vec![(
+                Version::new(1, 0, 0),
+                vec![RegistryDep::new("lib", pep440(lib_req))],
+            )],
+        )
+    };
+    let mut a = PackageUniverse::new(Ecosystem::Python);
+    a.insert(app(">=1"));
+    a.insert(package(
+        "lib",
+        vec![
+            (Version::new(1, 0, 0), vec![]),
+            (Version::new(2, 0, 0), vec![]),
+        ],
+    ));
+    let roots = [RootDep::new("app", None)];
+    assert_eq!(
+        names_and_versions(&a, &roots, DedupPolicy::HighestWins),
+        ["app@1.0.0", "lib@2.0.0"]
+    );
+    // In `b`, `a`'s positions of lib@2.0.0 hold zeta@3.0.0 and its edge.
+    let b_with = |app: PackageEntry| {
+        let mut b = PackageUniverse::new(Ecosystem::Python);
+        b.insert(package(
+            "lib",
+            vec![
+                (Version::new(1, 0, 0), vec![]),
+                (Version::new(1, 5, 0), vec![]),
+            ],
+        ));
+        b.insert(package(
+            "zeta",
+            vec![
+                (Version::new(1, 0, 0), vec![]),
+                (
+                    Version::new(3, 0, 0),
+                    vec![RegistryDep::new("lib", pep440("<1.5"))],
+                ),
+            ],
+        ));
+        b.insert(app);
+        b
+    };
+    let moved = PackageEntry {
+        name: "app".into(),
+        versions: vec![a.lookup("app").unwrap().versions[0].clone()],
+    };
+    let b = b_with(moved);
+    let fresh = b_with(app(">=1"));
+    assert_eq!(
+        names_and_versions(&b, &roots, DedupPolicy::HighestWins),
+        ["app@1.0.0", "lib@1.5.0"]
+    );
+    for policy in POLICIES {
+        for honor_markers in [true, false] {
+            assert_eq!(
+                summary(&resolve(&b, &roots, policy, honor_markers)),
+                summary(&resolve(&fresh, &roots, policy, honor_markers)),
+                "{policy:?} markers {honor_markers}"
+            );
+        }
+    }
+    assert_equivalent(&b, &roots).unwrap();
+}
+
+/// Threads released together on a freshly generated universe race to fill
+/// the same cold memos; every one of them resolves as the reference does.
+#[test]
+fn racing_threads_on_cold_memos_match_reference() {
+    const THREADS: usize = 4;
+    for policy in POLICIES {
+        let uni =
+            PackageUniverse::generate(&UniverseConfig::for_ecosystem(Ecosystem::JavaScript, 9));
+        let roots: Vec<RootDep> = uni
+            .package_names()
+            .step_by(13)
+            .map(|n| RootDep::new(n, None))
+            .collect();
+        let want = summary(&reference::resolve(&uni, &roots, policy, false));
+        let barrier = Barrier::new(THREADS);
+        let got: Vec<Summary> = thread::scope(|s| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        summary(&resolve(&uni, &roots, policy, false))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for got in got {
+            assert_eq!(got, want, "{policy:?}");
+        }
+    }
 }

@@ -167,9 +167,22 @@ impl Executed {
     /// The response status.
     pub fn status(&self) -> u16 {
         match self {
-            Executed::Hit(entry) => entry.response.status,
+            Executed::Hit(entry) => entry.status(),
             Executed::Miss(response) => response.status,
         }
+    }
+
+    /// The response body.
+    pub fn body(&self) -> &[u8] {
+        match self {
+            Executed::Hit(entry) => entry.body(),
+            Executed::Miss(response) => &response.body,
+        }
+    }
+
+    /// Whether the response is degraded (a cache entry never is).
+    pub fn degraded(&self) -> bool {
+        matches!(self, Executed::Miss(response) if response.degraded)
     }
 }
 
@@ -241,24 +254,12 @@ fn batch(state: &AppState, doc: &Value, queue_depth: usize) -> Response {
     let mut degraded = false;
     let mut rows = Vec::with_capacity(entries.len());
     for entry in entries {
-        let sub = match batch_entry_request(entry) {
-            Ok(sub) => sub,
-            Err(msg) => {
-                rows.push(batch_row("", &Response::error(400, msg)));
-                continue;
-            }
+        let (path, executed) = match batch_entry_request(entry) {
+            Ok(sub) => (sub.path.clone(), execute_cached(state, &sub, queue_depth)),
+            Err(msg) => (String::new(), Executed::Miss(Response::error(400, msg))),
         };
-        let path = sub.path.clone();
-        match execute_cached(state, &sub, queue_depth) {
-            Executed::Hit(hit) => {
-                rows.push(batch_row(&path, &hit.response));
-                degraded |= hit.response.degraded;
-            }
-            Executed::Miss(response) => {
-                rows.push(batch_row(&path, &response));
-                degraded |= response.degraded;
-            }
-        }
+        rows.push(batch_row(&path, &executed));
+        degraded |= executed.degraded();
     }
     let mut out = Value::object();
     out.set("count", Value::from(rows.len() as i64));
@@ -288,14 +289,14 @@ fn batch_entry_request(entry: &Value) -> Result<Request, &'static str> {
 /// One row of the batch response. The sub-response body is embedded as a
 /// string, not re-parsed: the bytes are already deterministic JSON, and
 /// skipping the parse/re-serialize round-trip is the point of batching.
-fn batch_row(path: &str, response: &Response) -> Value {
+fn batch_row(path: &str, executed: &Executed) -> Value {
     let mut row = Value::object();
     row.set("path", Value::from(path));
-    row.set("status", Value::from(i64::from(response.status)));
-    row.set("degraded", Value::from(response.degraded));
+    row.set("status", Value::from(i64::from(executed.status())));
+    row.set("degraded", Value::from(executed.degraded()));
     row.set(
         "body",
-        Value::from(String::from_utf8_lossy(&response.body).into_owned()),
+        Value::from(String::from_utf8_lossy(executed.body()).into_owned()),
     );
     row
 }
@@ -1901,10 +1902,7 @@ mod tests {
         let healthy = execute_cached(&state, &post("/v1/analyze", &payload), 0);
         assert!(matches!(healthy, Executed::Hit(_)));
         assert_eq!(healthy.status(), 200);
-        let out = body_json(match &healthy {
-            Executed::Hit(entry) => &entry.response,
-            Executed::Miss(resp) => resp,
-        });
+        let out = json::parse(std::str::from_utf8(healthy.body()).unwrap()).unwrap();
         assert_eq!(out.get("degraded").and_then(Value::as_bool), Some(false));
         let rows = out.get("quality").and_then(Value::as_array).unwrap();
         assert!(rows
@@ -2008,8 +2006,7 @@ mod tests {
         let hits_before = state.cache.hits();
         match execute_cached(&state, &post("/v1/analyze", &analyze_payload()), 0) {
             Executed::Hit(hit) => {
-                assert_eq!(hit.response.status, 200);
-                assert_eq!(&*hit.wire, hit.response.serialize(false).as_slice());
+                assert_eq!(hit.status(), 200);
             }
             Executed::Miss(_) => panic!("expected a cache hit"),
         }

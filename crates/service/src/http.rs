@@ -307,24 +307,35 @@ impl Response {
     /// preserialized cache-hit path (the cache stores the persistent form;
     /// see [`crate::respcache::CacheEntry`]).
     pub fn serialize(&self, close: bool) -> Vec<u8> {
-        let head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}\r\n",
-            self.status,
-            reason(self.status),
-            self.content_type,
-            self.body.len(),
-            if close { "Connection: close\r\n" } else { "" },
-        );
-        let mut out = Vec::with_capacity(head.len() + self.body.len());
-        out.extend_from_slice(head.as_bytes());
-        out.extend_from_slice(&self.body);
-        out
+        serialize_parts(self.status, self.content_type, &self.body, close)
     }
 
     /// Serializes into a shared buffer for the zero-copy write path.
     pub fn serialize_shared(&self) -> Arc<[u8]> {
         Arc::from(self.serialize(false).into_boxed_slice())
     }
+}
+
+/// The wire bytes of a response with these parts (see
+/// [`Response::serialize`]): the head, then `body` verbatim.
+pub(crate) fn serialize_parts(
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    close: bool,
+) -> Vec<u8> {
+    let head = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}\r\n",
+        status,
+        reason(status),
+        content_type,
+        body.len(),
+        if close { "Connection: close\r\n" } else { "" },
+    );
+    let mut out = Vec::with_capacity(head.len() + body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 /// The canonical reason phrase for the status codes this service emits.

@@ -22,22 +22,25 @@ use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::http::Response;
+use crate::http::{serialize_parts, Response};
 
 const SHARDS: usize = 16;
 
-/// A cached response plus its preserialized wire bytes.
+/// A cached response, held once, as its preserialized wire bytes.
 ///
 /// The wire form is serialized once, at insertion, in the *persistent*
 /// framing (no `Connection` header — the HTTP/1.1 default; see
 /// [`Response::serialize`]). A keep-alive cache hit is then answered by
 /// queueing a clone of the shared slice: the hot path allocates nothing and
-/// copies nothing. Only a hit on a closing connection (explicit
-/// `Connection: close`) pays for an owned re-serialization.
+/// copies nothing. The body is read back as the tail of `wire` (batch
+/// sub-request rows), and only a hit on a closing connection (explicit
+/// `Connection: close`) pays for an owned re-serialization. A cached
+/// response is never degraded: [`crate::api`] admits none.
 pub struct CacheEntry {
-    /// The structured response (batch sub-requests and closing connections
-    /// read status/body from here).
-    pub response: Response,
+    status: u16,
+    content_type: &'static str,
+    /// Where the body starts in `wire`.
+    body_start: usize,
     /// The persistent-form wire bytes written zero-copy on keep-alive hits.
     pub wire: Arc<[u8]>,
 }
@@ -46,7 +49,28 @@ impl CacheEntry {
     /// Builds the entry, preserializing the wire bytes.
     pub fn new(response: Response) -> CacheEntry {
         let wire = response.serialize_shared();
-        CacheEntry { response, wire }
+        CacheEntry {
+            status: response.status,
+            content_type: response.content_type,
+            body_start: wire.len() - response.body.len(),
+            wire,
+        }
+    }
+
+    /// The response status.
+    pub fn status(&self) -> u16 {
+        self.status
+    }
+
+    /// The response body: the tail of `wire`.
+    pub fn body(&self) -> &[u8] {
+        &self.wire[self.body_start..]
+    }
+
+    /// The wire bytes for a connection that closes after this response
+    /// (`Response::serialize(true)` of the cached response).
+    pub fn closing_wire(&self) -> Vec<u8> {
+        serialize_parts(self.status, self.content_type, self.body(), true)
     }
 }
 
@@ -219,11 +243,28 @@ mod tests {
         assert!(cache.get(key).is_none());
         cache.put(key, resp("one"));
         let found = cache.get(key).expect("hit");
-        assert_eq!(found.response.body, resp("one").response.body);
-        // The preserialized wire bytes match the persistent serialization.
-        assert_eq!(&*found.wire, found.response.serialize(false).as_slice());
+        assert_eq!(found.body(), resp("one").body());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!((cache.hit_ratio() - 0.5).abs() < 1e-9);
+    }
+
+    /// The entry holds the body once, as the tail of its wire bytes, and
+    /// rebuilds both framings of the response it was built from.
+    #[test]
+    fn entry_keeps_one_copy_of_the_body() {
+        for response in [
+            Response::json(200, "{\"tag\":\"x\"}\n"),
+            Response::text(200, "ok\n"),
+            Response::json(200, ""),
+        ] {
+            let entry = CacheEntry::new(response.clone());
+            let (body, wire) = (entry.body().as_ptr_range(), entry.wire.as_ptr_range());
+            assert!(wire.start <= body.start && body.end == wire.end);
+            assert_eq!(entry.body(), response.body.as_slice());
+            assert_eq!(entry.status(), response.status);
+            assert_eq!(&*entry.wire, response.serialize(false).as_slice());
+            assert_eq!(entry.closing_wire(), response.serialize(true));
+        }
     }
 
     #[test]
@@ -278,10 +319,10 @@ mod tests {
         let key = ResponseCache::key("/healthz", b"");
         cache.put(key, resp("ok"));
         let results = sbomdiff_parallel::par_map(4, &[0u8; 16], |_, _| {
-            cache.get(key).map(|r| r.response.body.clone())
+            cache.get(key).map(|r| r.body().to_vec())
         });
         for r in results {
-            assert_eq!(r, Some(resp("ok").response.body.clone()));
+            assert_eq!(r.as_deref(), Some(resp("ok").body()));
         }
         assert_eq!(cache.hits(), 16);
     }

@@ -244,7 +244,7 @@ fn worker_loop(
                 // The zero-alloc hot path: a keep-alive cache hit writes
                 // the entry's preserialized persistent-form bytes.
                 Executed::Hit(entry) if !task.close => WriteBuf::Shared(Arc::clone(&entry.wire)),
-                Executed::Hit(entry) => WriteBuf::Owned(entry.response.serialize(true)),
+                Executed::Hit(entry) => WriteBuf::Owned(entry.closing_wire()),
                 Executed::Miss(response) => WriteBuf::Owned(response.serialize(task.close)),
             };
             (buf, task.close)
@@ -464,9 +464,9 @@ impl EventLoop {
                 if let Some(entry) = key.and_then(|key| self.state.cache.get(key)) {
                     self.state
                         .metrics
-                        .record(endpoint, entry.response.status, now.elapsed());
+                        .record(endpoint, entry.status(), now.elapsed());
                     let buf = if close {
-                        WriteBuf::Owned(entry.response.serialize(true))
+                        WriteBuf::Owned(entry.closing_wire())
                     } else {
                         WriteBuf::Shared(Arc::clone(&entry.wire))
                     };
