@@ -8,7 +8,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use sbomdiff_service::http::{parse_request, ParseStatus, Response};
-use sbomdiff_service::respcache::{CacheEntry, ResponseCache};
+use sbomdiff_service::respcache::{self, CacheEntry};
 
 fn analyze_request(body: &str) -> Vec<u8> {
     format!(
@@ -52,7 +52,7 @@ fn bench_response_paths(c: &mut Criterion) {
     });
     group.bench_function("cache_key", |b| {
         let body = br#"{"files":{"requirements.txt":"numpy==1.19.2\n"}}"#;
-        b.iter(|| ResponseCache::key(black_box("/v1/analyze"), black_box(body)))
+        b.iter(|| respcache::key(black_box("/v1/analyze"), black_box(body)))
     });
     group.finish();
 }
@@ -65,7 +65,7 @@ fn bench_cache_key_sizes(c: &mut Criterion) {
         let body: Vec<u8> = (0..len).map(|i| b' ' + (i % 95) as u8).collect();
         group.throughput(Throughput::Bytes(len as u64));
         group.bench_function(name, |b| {
-            b.iter(|| ResponseCache::key(black_box("/v1/diff"), black_box(&body)))
+            b.iter(|| respcache::key(black_box("/v1/diff"), black_box(&body)))
         });
     }
     group.finish();

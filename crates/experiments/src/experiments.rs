@@ -202,10 +202,9 @@ impl Context {
     pub fn report_timing(&self) {
         eprintln!("{}", self.profiler.report(self.jobs));
         eprintln!(
-            "parse cache: {} entries, {} hits, {} misses",
+            "parse cache: {} entries, {}",
             self.parse_cache.len(),
-            self.parse_cache.hits(),
-            self.parse_cache.misses()
+            self.parse_cache.stats()
         );
     }
 
@@ -1403,14 +1402,7 @@ pub fn vuln(ctx: &Context) {
     println!("(raised = detected + false alarms; J columns are mean per-repo Jaccard of");
     println!(" raised advisory sets — diagonal 1, off-diagonal the profile divergence)");
     ctx.write("vuln_divergence.csv", &table.to_csv());
-    let stats = cache.stats();
-    eprintln!(
-        "enrich cache: {} entries, {} hits, {} misses, {} expired",
-        cache.len(),
-        stats.hits,
-        stats.misses,
-        stats.expired
-    );
+    eprintln!("enrich cache: {} entries, {}", cache.len(), cache.stats());
 }
 
 /// Seed-stability sweep: re-derives the headline findings across several

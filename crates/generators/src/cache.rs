@@ -20,25 +20,21 @@
 //! * Identical manifests in different repositories (common in synthetic
 //!   corpora and real monorepos) collapse into one parse.
 //!
-//! The cache is sharded (16 mutexes selected by key hash) so the parallel
-//! fan-out in `sbomdiff-experiments` contends only when two workers touch
-//! the same shard at the same instant. Hit/miss counters feed the
-//! experiment driver's timing report and the service's `/metrics`.
-//!
-//! Capacity is bounded in *bytes* (manifest content plus a fixed per-entry
-//! overhead), evicting least-recently-used entries per shard. The default
-//! budget is far above what any batch run parses, so experiments see an
-//! effectively unbounded cache; the long-lived service keeps a stable
-//! footprint instead of growing with every distinct manifest it ever saw.
+//! Storage, byte budget and LRU eviction are the shared [`Sharded`]
+//! cache's; this module owns only the key, the cost of an entry (manifest
+//! content plus path plus a fixed per-entry overhead) and the fault-plan
+//! bypass. Its counters feed the `experiments` timing report and the
+//! service's `/metrics`. The default budget is far above what any batch
+//! run parses, so experiments see an effectively unbounded cache; the
+//! long-lived service keeps a stable footprint instead of growing with
+//! every distinct manifest it ever saw.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::hash::{DefaultHasher, Hasher};
+use std::sync::Arc;
 
 use sbomdiff_metadata::python::ReqStyle;
 use sbomdiff_metadata::{MetadataKind, Parsed, RepoFs};
-
-const SHARDS: usize = 16;
+use sbomdiff_types::{CacheStats, Sharded};
 
 /// Default cache budget. Generous: a whole calibrated corpus parses well
 /// under this, so only the service's unbounded request stream ever evicts.
@@ -79,82 +75,8 @@ impl ParserKey {
     pub(crate) const SLOTS: usize = 6;
 }
 
+/// `(path, content hash, file kind, parser)`.
 type Key = (String, u64, MetadataKind, ParserKey);
-
-struct Entry {
-    parsed: Arc<Parsed>,
-    cost: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct ShardState {
-    map: HashMap<Key, Entry>,
-    /// Sum of `cost` over `map` — must stay exact across insert, replace
-    /// and evict, or the shard's eviction pressure drifts from reality.
-    bytes: usize,
-}
-
-impl ShardState {
-    fn insert(&mut self, key: Key, parsed: Arc<Parsed>, cost: usize, tick: u64) -> Arc<Parsed> {
-        use std::collections::hash_map::Entry as MapEntry;
-        match self.map.entry(key) {
-            MapEntry::Occupied(mut slot) => {
-                // Replace (two workers raced on the same parse): debit the
-                // outgoing entry's bytes *before* crediting the new ones.
-                // Crediting alone inflates the tally on every overwrite,
-                // and the phantom bytes then evict live entries long
-                // before the shard is actually full.
-                let outgoing = slot.get().cost;
-                self.bytes = self.bytes + cost - outgoing;
-                slot.insert(Entry {
-                    parsed: Arc::clone(&parsed),
-                    cost,
-                    last_used: tick,
-                });
-                parsed
-            }
-            MapEntry::Vacant(slot) => {
-                self.bytes += cost;
-                Arc::clone(
-                    &slot
-                        .insert(Entry {
-                            parsed,
-                            cost,
-                            last_used: tick,
-                        })
-                        .parsed,
-                )
-            }
-        }
-    }
-
-    /// Evicts least-recently-used entries until the shard fits `cap`.
-    /// A single oversized entry is kept (there is nothing useful to evict
-    /// it for); returns how many entries were dropped.
-    fn evict_to(&mut self, cap: usize) -> u64 {
-        let mut evicted = 0;
-        while self.bytes > cap && self.map.len() > 1 {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(key) => {
-                    if let Some(old) = self.map.remove(&key) {
-                        self.bytes -= old.cost;
-                        evicted += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-        evicted
-    }
-}
-
-type Shard = Mutex<ShardState>;
 
 /// Memoizes [`parse`](ParseCache::parse) results across tool emulators,
 /// repositories and requests.
@@ -175,12 +97,7 @@ type Shard = Mutex<ShardState>;
 /// assert_eq!((cache.misses(), cache.hits()), (1, 1));
 /// ```
 pub struct ParseCache {
-    shards: Vec<Shard>,
-    per_shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
+    entries: Sharded<Key, Arc<Parsed>>,
 }
 
 impl Default for ParseCache {
@@ -192,21 +109,8 @@ impl Default for ParseCache {
 impl ParseCache {
     /// An empty cache with the default byte budget.
     pub fn new() -> Self {
-        ParseCache::with_capacity_bytes(DEFAULT_CAPACITY_BYTES)
-    }
-
-    /// An empty cache holding at most `capacity` accounted bytes
-    /// (distributed evenly across shards).
-    pub fn with_capacity_bytes(capacity: usize) -> Self {
         ParseCache {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(ShardState::default()))
-                .collect(),
-            per_shard_cap: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
+            entries: Sharded::new(DEFAULT_CAPACITY_BYTES, None),
         }
     }
 
@@ -250,103 +154,55 @@ impl ParseCache {
         // corrupt results outlive the plan (and clean cached entries would
         // mask injected faults). Counted as a miss to keep stats honest.
         if sbomdiff_faultline::enabled() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.entries.record_miss();
             return Arc::new(parse());
         }
-        let content_bytes = repo.bytes(path).unwrap_or_default();
-        let cost = content_bytes.len() + path.len() + ENTRY_OVERHEAD;
-        let content = fnv_bytes(content_bytes);
-        let key: Key = (path.to_string(), content, kind, parser);
-        let shard = &self.shards[fxhash(&key) as usize % SHARDS];
-        // A poisoned shard only means another worker panicked mid-insert;
-        // the map itself is still coherent, so recover instead of cascading.
-        {
-            let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(found) = guard.map.get_mut(&key) {
-                found.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                let parsed = Arc::clone(&found.parsed);
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return parsed;
-            }
+        let content = repo.bytes(path).unwrap_or_default();
+        let mut hasher = DefaultHasher::new();
+        hasher.write(content);
+        let key: Key = (path.to_string(), hasher.finish(), kind, parser);
+        if let Some(parsed) = self.entries.get(&key) {
+            return parsed;
         }
-        // Parse outside the lock: other shard keys stay available and a
-        // racing duplicate parse is deterministic anyway (the loser's
-        // result replaces the winner's byte-identical one).
+        // Parse outside the lock: other keys stay available and a racing
+        // duplicate parse is deterministic anyway (the loser's result
+        // replaces the winner's byte-identical one).
         let parsed = Arc::new(parse());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        let out = guard.insert(key, parsed, cost, tick);
-        let evicted = guard.evict_to(self.per_shard_cap);
-        drop(guard);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        out
+        let cost = content.len() + path.len() + ENTRY_OVERHEAD;
+        self.entries.insert(key, Arc::clone(&parsed), cost);
+        parsed
     }
 
     /// Records a reuse that was served from a scan-local memo instead of a
     /// shard lookup — still a shared parse avoided, so it counts as a hit.
     pub(crate) fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.entries.record_hit();
     }
 
     /// Cache hits so far (memoized parses reused).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.entries.stats().hits
     }
 
     /// Cache misses so far (actual parses performed).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.entries.stats().misses
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        self.entries.stats()
     }
 
     /// Total entries currently held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
+        self.entries.len()
     }
 
     /// True when nothing has been parsed yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
-
-    /// Accounted bytes currently held across all shards.
-    pub fn total_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).bytes)
-            .sum()
-    }
-
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.per_shard_cap * SHARDS
-    }
-
-    /// Entries evicted so far to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
-fn fxhash(key: &Key) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -436,90 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_debits_outgoing_entry_bytes() {
-        // Regression: overwriting an existing key (racing duplicate parse)
-        // must subtract the old entry's cost. With credit-only accounting
-        // the tally drifts up by the old cost on every overwrite and the
-        // shard evicts while half empty.
-        let key = |p: &str| -> Key {
-            (
-                p.to_string(),
-                7,
-                MetadataKind::RequirementsTxt,
-                ParserKey::Reference,
-            )
-        };
-        let mut shard = ShardState::default();
-        shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 1000, 0);
-        assert_eq!(shard.bytes, 1000);
-        for tick in 1..50 {
-            shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 1000, tick);
-            assert_eq!(shard.bytes, 1000, "replace must not drift at tick {tick}");
-        }
-        // Replacement with a different cost settles on the new cost alone.
-        shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 400, 50);
-        assert_eq!(shard.bytes, 400);
-        shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 1200, 51);
-        assert_eq!(shard.bytes, 1200);
-    }
-
-    #[test]
-    fn churning_one_key_keeps_capacity_stable() {
-        // One path, ever-changing content: every revision is a distinct
-        // content-hash key, so a long-lived service would grow without
-        // bound were the byte budget not enforced.
-        let cache = ParseCache::with_capacity_bytes(16 * 1024);
-        for i in 0..400 {
-            let mut repo = RepoFs::new("churn");
-            repo.add_text(
-                "requirements.txt",
-                format!("pkg{i}==1.0.{i}\n{}\n", "x".repeat(100)),
-            );
-            ToolEmulator::trivy().generate_with_cache(&repo, &cache);
-            assert!(
-                cache.total_bytes() <= cache.capacity_bytes(),
-                "over budget at revision {i}: {} > {}",
-                cache.total_bytes(),
-                cache.capacity_bytes()
-            );
-        }
-        assert!(cache.evictions() > 0, "churn past the budget must evict");
-        assert!(cache.len() < 400, "stale revisions must not accumulate");
-        // Accounting stays exact: re-derive the tally from live entries.
-        let recomputed: usize = cache
-            .shards
-            .iter()
-            .map(|s| {
-                let guard = s.lock().unwrap();
-                let sum: usize = guard.map.values().map(|e| e.cost).sum();
-                assert_eq!(sum, guard.bytes, "shard tally must match entries");
-                sum
-            })
-            .sum();
-        assert_eq!(recomputed, cache.total_bytes());
-    }
-
-    #[test]
-    fn recently_used_entries_survive_eviction() {
-        let cache = ParseCache::with_capacity_bytes(8 * 1024);
-        let mut hot = RepoFs::new("hot");
-        hot.add_text("requirements.txt", "numpy==1.19.2\n");
-        ToolEmulator::trivy().generate_with_cache(&hot, &cache);
-        for i in 0..200 {
-            let mut cold = RepoFs::new("cold");
-            cold.add_text(
-                "requirements.txt",
-                format!("cold{i}==0.0.{i}\n{}\n", "y".repeat(80)),
-            );
-            ToolEmulator::trivy().generate_with_cache(&cold, &cache);
-            // Touch the hot entry each round so its recency stays fresh.
-            let before = cache.misses();
-            ToolEmulator::trivy().generate_with_cache(&hot, &cache);
-            assert_eq!(cache.misses(), before, "hot entry evicted at round {i}");
-        }
-    }
-
-    #[test]
     fn default_capacity_never_evicts_in_batch_scale_runs() {
         let cache = ParseCache::new();
         for i in 0..50 {
@@ -528,8 +300,8 @@ mod tests {
             repo.add_text("go.mod", format!("module m{i}\nrequire a.b/c v1.{i}.0\n"));
             ToolEmulator::trivy().generate_with_cache(&repo, &cache);
         }
-        assert_eq!(cache.evictions(), 0);
-        assert!(cache.total_bytes() <= cache.capacity_bytes());
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.len(), 100, "every parse of every repository stays");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! pipeline).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -24,7 +25,7 @@ use sbomdiff_vuln::{assess_cached, AdvisoryDb, EnrichCache, ImpactReport};
 
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
-use crate::respcache::{CacheEntry, ResponseCache};
+use crate::respcache::{self, CacheEntry, ResponseCache};
 
 /// Maximum number of files accepted by `/v1/analyze`.
 pub const MAX_ANALYZE_FILES: usize = 512;
@@ -48,7 +49,7 @@ pub struct AppState {
     /// *content*, so two requests reusing a repository name can never see
     /// each other's stale parses — a rewritten manifest re-parses.
     pub parse_cache: ParseCache,
-    /// TTL'd per-`(ecosystem, package)` advisory cache shared across
+    /// Per-`(ecosystem, package)` advisory cache shared across
     /// `/v1/impact` requests (keyed on database fingerprints, so seeds
     /// never alias).
     pub enrich: EnrichCache,
@@ -57,11 +58,11 @@ pub struct AppState {
 }
 
 impl AppState {
-    /// Fresh state with a response cache of `cache_capacity` entries.
+    /// Fresh state with a response cache of `cache_capacity` responses.
     pub fn new(default_seed: u64, cache_capacity: usize) -> Self {
         AppState {
             default_seed,
-            cache: ResponseCache::new(cache_capacity),
+            cache: ResponseCache::new(cache_capacity, None),
             metrics: Metrics::new(),
             parse_cache: ParseCache::new(),
             enrich: EnrichCache::new(),
@@ -71,52 +72,43 @@ impl AppState {
     }
 
     /// The registry set for `seed`, memoized (at most 8 seeds retained).
-    /// A poisoned memo lock means another worker panicked mid-insert; the
-    /// map stays coherent, so the lock is recovered instead of cascading.
     pub fn registries(&self, seed: u64) -> Arc<Registries> {
-        if let Some(found) = self
-            .registries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&seed)
-        {
-            return Arc::clone(found);
-        }
-        // Generate outside the lock; a racing duplicate is deterministic.
-        let generated = Arc::new(Registries::generate(seed));
-        let mut memo = self
-            .registries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if memo.len() >= 8 && !memo.contains_key(&seed) {
-            memo.clear();
-        }
-        Arc::clone(memo.entry(seed).or_insert(generated))
+        memoized(&self.registries, seed, || Registries::generate(seed))
     }
 
     /// The advisory database for `(registry seed, advisory seed, share)`,
     /// memoized like [`AppState::registries`].
     pub fn advisory_db(&self, seed: u64, advisory_seed: u64, share: f64) -> Arc<AdvisoryDb> {
         let key = (seed, advisory_seed, share.to_bits());
-        if let Some(found) = self
-            .advisories
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return Arc::clone(found);
-        }
-        let registries = self.registries(seed);
-        let generated = Arc::new(AdvisoryDb::generate(&registries, advisory_seed, share));
-        let mut memo = self
-            .advisories
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if memo.len() >= 8 && !memo.contains_key(&key) {
-            memo.clear();
-        }
-        Arc::clone(memo.entry(key).or_insert(generated))
+        memoized(&self.advisories, key, || {
+            AdvisoryDb::generate(&self.registries(seed), advisory_seed, share)
+        })
     }
+}
+
+/// The world memoized under `key`, generated on first use. A memo holds at
+/// most 8 worlds (each several MB) and is cleared when a ninth arrives. A
+/// poisoned memo lock means another worker panicked mid-insert; the map
+/// stays coherent, so the lock is recovered instead of cascading.
+fn memoized<K: Hash + Eq, V>(
+    memo: &Mutex<HashMap<K, Arc<V>>>,
+    key: K,
+    generate: impl FnOnce() -> V,
+) -> Arc<V> {
+    if let Some(found) = memo
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+    {
+        return Arc::clone(found);
+    }
+    // Generate outside the lock; a racing duplicate is deterministic.
+    let generated = Arc::new(generate());
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if memo.len() >= 8 && !memo.contains_key(&key) {
+        memo.clear();
+    }
+    Arc::clone(memo.entry(key).or_insert(generated))
 }
 
 /// Routes a parsed request to its handler. `queue_depth` feeds the
@@ -125,20 +117,22 @@ pub fn handle(state: &AppState, request: &Request, queue_depth: usize) -> Respon
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => healthz(),
         ("GET", "/metrics") => {
-            let mut text =
-                state
-                    .metrics
-                    .render(state.cache.hits(), state.cache.misses(), queue_depth);
-            text.push_str(&Metrics::render_parse_cache(
-                state.parse_cache.hits(),
-                state.parse_cache.misses(),
-            ));
-            let enrich = state.enrich.stats();
-            text.push_str(&Metrics::render_enrich_cache(
-                enrich.hits,
-                enrich.misses,
-                enrich.expired,
-            ));
+            let mut text = state.metrics.render(queue_depth);
+            for (prefix, what, stats) in [
+                ("sbomdiff_cache", "Analysis cache", state.cache.stats()),
+                (
+                    "sbomdiff_parse_cache",
+                    "Shared parse-cache",
+                    state.parse_cache.stats(),
+                ),
+                (
+                    "sbomdiff_enrich_cache",
+                    "Shared enrichment-cache",
+                    state.enrich.stats(),
+                ),
+            ] {
+                Metrics::render_cache(&mut text, prefix, what, stats);
+            }
             Response::text(200, text)
         }
         ("POST", "/v1/analyze") => with_json_body(request, |doc| analyze(state, doc)),
@@ -190,14 +184,14 @@ impl Executed {
 /// Only POST analysis requests are cacheable: GETs are trivially cheap.
 pub(crate) fn cache_key(request: &Request) -> Option<u128> {
     (request.method == "POST" && request.path.starts_with("/v1/"))
-        .then(|| ResponseCache::key(&request.path, &request.body))
+        .then(|| respcache::key(&request.path, &request.body))
 }
 
 /// Looks up / fills the response cache around the pure [`handle`] call:
 /// one lookup, then `execute_miss` when it misses.
 pub fn execute_cached(state: &AppState, request: &Request, queue_depth: usize) -> Executed {
     let key = cache_key(request);
-    if let Some(cached) = key.and_then(|key| state.cache.get(key)) {
+    if let Some(cached) = key.and_then(|key| state.cache.get(&key)) {
         return Executed::Hit(cached);
     }
     execute_miss(state, request, key, queue_depth)
@@ -219,7 +213,8 @@ pub(crate) fn execute_miss(
     match key {
         Some(key) if response.is_success() && !response.degraded => {
             let entry = Arc::new(CacheEntry::new(response));
-            state.cache.put(key, Arc::clone(&entry));
+            // Cost 1 per response: `--cache N` holds N responses.
+            state.cache.insert(key, Arc::clone(&entry), 1);
             Executed::Hit(entry)
         }
         _ => Executed::Miss(response),
@@ -1149,7 +1144,7 @@ mod tests {
         // Every surfaced diagnostic also incremented its /metrics counter.
         assert!(state.metrics.diagnostics(DiagClass::TruncatedInput) > 0);
         assert_eq!(state.metrics.total_diagnostics(), diags.len() as u64);
-        let text = state.metrics.render(0, 0, 0);
+        let text = state.metrics.render(0);
         assert!(text.contains("sbomdiff_diagnostics_total{class=\"truncated-input\"} 1"));
     }
 
@@ -1273,7 +1268,7 @@ mod tests {
             state.metrics.ingest_bytes(),
             (cdx.len() + spdx.len()) as u64
         );
-        let text = state.metrics.render(0, 0, 0);
+        let text = state.metrics.render(0);
         assert!(text.contains("sbomdiff_ingest_documents_total{format=\"cyclonedx\"} 1"));
     }
 
@@ -1547,7 +1542,7 @@ mod tests {
         // Every matched pair also incremented its /metrics tier counter.
         assert_eq!(state.metrics.matches(MatchTier::Exact), 1);
         assert_eq!(state.metrics.matches(MatchTier::Normalized), 2);
-        let text = state.metrics.render(0, 0, 0);
+        let text = state.metrics.render(0);
         assert!(text.contains("sbomdiff_match_total{tier=\"normalized\"} 2"));
     }
 
@@ -1721,7 +1716,7 @@ mod tests {
             .map(|s| state.metrics.advisories_matched(*s))
             .sum();
         assert_eq!(raised, detected.len() as u64);
-        let text = state.metrics.render(0, 0, 0);
+        let text = state.metrics.render(0);
         assert!(text.contains("sbomdiff_advisories_matched_total{severity=\""));
         let stats = state.enrich.stats();
         assert!(stats.hits > 0, "{stats:?}");
@@ -1836,7 +1831,7 @@ mod tests {
             Some(best)
         );
         assert!(state.metrics.quality_score("github-dg", "total").is_some());
-        let text = state.metrics.render(0, 0, 0);
+        let text = state.metrics.render(0);
         assert!(text.contains("sbomdiff_quality_score{profile=\"trivy\",check=\"supplier\"}"));
         // Without the opt-in flag, no quality key appears in the response.
         let plain = handle(&state, &post("/v1/analyze", &analyze_payload()), 0);
@@ -2001,16 +1996,61 @@ mod tests {
         let body = format!("{{\"requests\":[{entry},{entry}]}}");
         let first = handle(&state, &post("/v1/batch", &body), 0);
         assert_eq!(first.status, 200);
-        assert!(state.cache.hits() >= 1, "hits={}", state.cache.hits());
+        assert!(
+            state.cache.stats().hits >= 1,
+            "hits={}",
+            state.cache.stats().hits
+        );
         // A standalone POST of the same payload is also a hit now.
-        let hits_before = state.cache.hits();
+        let hits_before = state.cache.stats().hits;
         match execute_cached(&state, &post("/v1/analyze", &analyze_payload()), 0) {
             Executed::Hit(hit) => {
                 assert_eq!(hit.status(), 200);
             }
             Executed::Miss(_) => panic!("expected a cache hit"),
         }
-        assert_eq!(state.cache.hits(), hits_before + 1);
+        assert_eq!(state.cache.stats().hits, hits_before + 1);
+    }
+
+    #[test]
+    fn metrics_expose_response_cache_evictions_unlabeled() {
+        // One response per shard: 24 distinct payloads over 16 shards must
+        // evict, and the last one answered again is a hit.
+        let _plan = no_other_plan();
+        let state = AppState::new(42, 1);
+        let payload = |i: usize| {
+            format!(r#"{{"name":"r{i}","seed":7,"files":{{"requirements.txt":"pkg{i}==1.0\n"}}}}"#)
+        };
+        for i in (0..24).chain([23]) {
+            let executed = execute_cached(&state, &post("/v1/analyze", &payload(i)), 0);
+            assert!(matches!(executed, Executed::Hit(_)));
+        }
+        let stats = state.cache.stats();
+        assert!(stats.evictions > 0, "{stats:?}");
+        let get = Request {
+            method: "GET".into(),
+            path: "/metrics".into(),
+            body: vec![],
+        };
+        let text = String::from_utf8(handle(&state, &get, 0).body).unwrap();
+        let samples = |name: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| {
+                    l.strip_prefix(name)
+                        .is_some_and(|r| r.starts_with([' ', '{']))
+                })
+                .map(str::to_string)
+                .collect()
+        };
+        let evictions = format!("sbomdiff_cache_evictions_total {}", stats.evictions);
+        assert_eq!(samples("sbomdiff_cache_evictions_total"), [evictions]);
+        // Parse- and enrichment-cache hits live under their own prefixes:
+        // a reader summing this family sees response-cache hits only.
+        assert_eq!(
+            samples("sbomdiff_cache_hits_total"),
+            ["sbomdiff_cache_hits_total 1"]
+        );
+        assert!(state.parse_cache.hits() > 0);
     }
 
     #[test]
@@ -2022,24 +2062,27 @@ mod tests {
             execute_cached(&state, &bad, 0),
             Executed::Miss(ref r) if r.status == 400
         ));
-        let misses = state.cache.misses();
+        let misses = state.cache.stats().misses;
         assert!(matches!(
             execute_cached(&state, &bad, 0),
             Executed::Miss(ref r) if r.status == 400
         ));
-        assert_eq!(state.cache.misses(), misses + 1);
+        assert_eq!(state.cache.stats().misses, misses + 1);
         // GETs bypass the cache entirely (no lookup, no insertion).
         let get = Request {
             method: "GET".into(),
             path: "/healthz".into(),
             body: vec![],
         };
-        let lookups = state.cache.hits() + state.cache.misses();
+        let lookups = state.cache.stats().hits + state.cache.stats().misses;
         assert!(matches!(
             execute_cached(&state, &get, 0),
             Executed::Miss(ref r) if r.status == 200
         ));
-        assert_eq!(state.cache.hits() + state.cache.misses(), lookups);
+        assert_eq!(
+            state.cache.stats().hits + state.cache.stats().misses,
+            lookups
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use sbomdiff_matching::MatchTier;
 use sbomdiff_sbomfmt::SbomFormat;
-use sbomdiff_types::DiagClass;
+use sbomdiff_types::{CacheStats, DiagClass};
 use sbomdiff_vuln::Severity;
 
 /// The endpoints the service distinguishes in its metrics.
@@ -391,61 +391,35 @@ impl Metrics {
         self.deadline_timeouts.load(Ordering::Relaxed)
     }
 
-    /// Renders the shared parse-cache counters in the same exposition
-    /// format, for appending after [`Metrics::render`]. Kept out of
+    /// Appends one cache's counters in the exposition format:
+    /// `<prefix>_{hits,misses,evictions,expired}_total` and
+    /// `<prefix>_hit_ratio`, with HELP text naming `what`. Kept out of
     /// `/v1/analyze` responses: the counters depend on request history, and
     /// analyze responses must stay byte-identical for identical payloads.
-    pub fn render_parse_cache(hits: u64, misses: u64) -> String {
-        let mut out = String::with_capacity(256);
-        family(
-            &mut out,
-            "sbomdiff_parse_cache_hits_total",
-            "counter",
-            "Shared parse-cache hits.",
-        );
-        out.push_str(&format!("sbomdiff_parse_cache_hits_total {hits}\n"));
-        family(
-            &mut out,
-            "sbomdiff_parse_cache_misses_total",
-            "counter",
-            "Shared parse-cache misses.",
-        );
-        out.push_str(&format!("sbomdiff_parse_cache_misses_total {misses}\n"));
-        out
+    pub fn render_cache(out: &mut String, prefix: &str, what: &str, stats: CacheStats) {
+        for (suffix, help, value) in [
+            ("hits", "hits", stats.hits),
+            ("misses", "misses", stats.misses),
+            (
+                "evictions",
+                "entries evicted to stay within budget",
+                stats.evictions,
+            ),
+            ("expired", "entries evicted after expiry", stats.expired),
+        ] {
+            let name = format!("{prefix}_{suffix}_total");
+            family(out, &name, "counter", &format!("{what} {help}."));
+            out.push_str(&format!("{name} {value}\n"));
+        }
+        let name = format!("{prefix}_hit_ratio");
+        family(out, &name, "gauge", &format!("{what} hit ratio."));
+        out.push_str(&format!("{name} {:.6}\n", stats.hit_ratio()));
     }
 
-    /// Renders the shared enrichment-cache counters (advisory lookups by
-    /// `(ecosystem, package)`), for appending after [`Metrics::render`]
-    /// like [`Metrics::render_parse_cache`].
-    pub fn render_enrich_cache(hits: u64, misses: u64, expired: u64) -> String {
-        let mut out = String::with_capacity(384);
-        family(
-            &mut out,
-            "sbomdiff_enrich_cache_hits_total",
-            "counter",
-            "Shared enrichment-cache hits.",
-        );
-        out.push_str(&format!("sbomdiff_enrich_cache_hits_total {hits}\n"));
-        family(
-            &mut out,
-            "sbomdiff_enrich_cache_misses_total",
-            "counter",
-            "Shared enrichment-cache misses.",
-        );
-        out.push_str(&format!("sbomdiff_enrich_cache_misses_total {misses}\n"));
-        family(
-            &mut out,
-            "sbomdiff_enrich_cache_expired_total",
-            "counter",
-            "Shared enrichment-cache entries evicted after expiry.",
-        );
-        out.push_str(&format!("sbomdiff_enrich_cache_expired_total {expired}\n"));
-        out
-    }
-
-    /// Renders the Prometheus text exposition, including the cache and
-    /// queue gauges supplied by the caller.
-    pub fn render(&self, cache_hits: u64, cache_misses: u64, queue_depth: usize) -> String {
+    /// Renders the Prometheus text exposition, including the queue gauge
+    /// supplied by the caller (caches append theirs with
+    /// [`Metrics::render_cache`]).
+    pub fn render(&self, queue_depth: usize) -> String {
         let mut out = String::with_capacity(8192);
         family(
             &mut out,
@@ -624,33 +598,6 @@ impl Metrics {
         out.push_str(&format!("sbomdiff_queue_depth {queue_depth}\n"));
         family(
             &mut out,
-            "sbomdiff_cache_hits_total",
-            "counter",
-            "Analysis cache hits.",
-        );
-        out.push_str(&format!("sbomdiff_cache_hits_total {cache_hits}\n"));
-        family(
-            &mut out,
-            "sbomdiff_cache_misses_total",
-            "counter",
-            "Analysis cache misses.",
-        );
-        out.push_str(&format!("sbomdiff_cache_misses_total {cache_misses}\n"));
-        family(
-            &mut out,
-            "sbomdiff_cache_hit_ratio",
-            "gauge",
-            "Analysis cache hit ratio.",
-        );
-        let lookups = cache_hits + cache_misses;
-        let ratio = if lookups == 0 {
-            0.0
-        } else {
-            cache_hits as f64 / lookups as f64
-        };
-        out.push_str(&format!("sbomdiff_cache_hit_ratio {ratio:.6}\n"));
-        family(
-            &mut out,
             "sbomdiff_latency_seconds",
             "histogram",
             "Request latency from the start of request parsing to the handler's return (before serialization and the socket write), by endpoint.",
@@ -708,7 +655,7 @@ mod tests {
         assert_eq!(m.timeouts_phase(TimeoutPhase::Header), 2);
         assert_eq!(m.timeouts_phase(TimeoutPhase::Body), 0);
         assert_eq!(m.timeouts_phase(TimeoutPhase::Idle), 1);
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(text.contains("sbomdiff_timeouts_total{phase=\"header\"} 2"));
         assert!(text.contains("sbomdiff_timeouts_total{phase=\"body\"} 0"));
         assert!(text.contains("sbomdiff_timeouts_total{phase=\"idle\"} 1"));
@@ -728,7 +675,7 @@ mod tests {
         assert_eq!(m.total_5xx(), 0);
         assert_eq!(m.degraded(), 1);
         assert_eq!(m.worker_panics(), 1);
-        let text = m.render(5, 10, 2);
+        let text = m.render(2);
         assert!(text.contains("sbomdiff_degraded_total 1"));
         assert!(text.contains("sbomdiff_worker_panics_total 1"));
         assert!(text.contains("sbomdiff_requests_total{endpoint=\"analyze\"} 2"));
@@ -736,8 +683,6 @@ mod tests {
         assert!(text.contains("sbomdiff_queue_rejected_total 1"));
         assert!(text.contains("sbomdiff_deadline_timeouts_total 1"));
         assert!(text.contains("sbomdiff_queue_depth 2"));
-        assert!(text.contains("sbomdiff_cache_hits_total 5"));
-        assert!(text.contains("sbomdiff_cache_hit_ratio 0.333333"));
         assert!(text.contains("sbomdiff_latency_seconds_count{endpoint=\"analyze\"} 2"));
     }
 
@@ -746,7 +691,7 @@ mod tests {
         let m = Metrics::new();
         m.record(Endpoint::Healthz, 200, Duration::from_micros(100));
         m.record(Endpoint::Healthz, 200, Duration::from_secs(2)); // +Inf bucket
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(
             text.contains("sbomdiff_latency_seconds_bucket{endpoint=\"healthz\",le=\"0.00025\"} 1")
         );
@@ -756,10 +701,36 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_exposition_renders_counters() {
-        let text = Metrics::render_parse_cache(7, 3);
-        assert!(text.contains("sbomdiff_parse_cache_hits_total 7"));
-        assert!(text.contains("sbomdiff_parse_cache_misses_total 3"));
+    fn cache_exposition_renders_every_family() {
+        let mut text = String::new();
+        let stats = CacheStats {
+            hits: 5,
+            misses: 10,
+            evictions: 3,
+            expired: 2,
+        };
+        Metrics::render_cache(
+            &mut text,
+            "sbomdiff_enrich_cache",
+            "Shared enrichment-cache",
+            stats,
+        );
+        for line in [
+            "# HELP sbomdiff_enrich_cache_hits_total Shared enrichment-cache hits.",
+            "# TYPE sbomdiff_enrich_cache_hits_total counter",
+            "sbomdiff_enrich_cache_hits_total 5",
+            "sbomdiff_enrich_cache_misses_total 10",
+            "sbomdiff_enrich_cache_evictions_total 3",
+            "sbomdiff_enrich_cache_expired_total 2",
+            "# TYPE sbomdiff_enrich_cache_hit_ratio gauge",
+            "sbomdiff_enrich_cache_hit_ratio 0.333333",
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing {line:?} in\n{text}"
+            );
+        }
+        assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 5);
     }
 
     #[test]
@@ -775,7 +746,7 @@ mod tests {
         assert_eq!(m.ingest_documents(Some(SbomFormat::Spdx)), 0);
         assert_eq!(m.ingest_documents(Some(SbomFormat::SpdxTagValue)), 1);
         assert_eq!(m.ingest_documents(None), 1);
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(text.contains("sbomdiff_ingest_bytes_total 1103"));
         assert!(text.contains("sbomdiff_ingest_documents_total{format=\"cyclonedx\"} 2"));
         assert!(text.contains("sbomdiff_ingest_documents_total{format=\"spdx-json\"} 0"));
@@ -792,7 +763,7 @@ mod tests {
         assert_eq!(m.matches(MatchTier::Exact), 12);
         assert_eq!(m.matches(MatchTier::Normalized), 4);
         assert_eq!(m.matches(MatchTier::Fuzzy), 0);
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(text.contains("sbomdiff_match_total{tier=\"exact\"} 12"));
         assert!(text.contains("sbomdiff_match_total{tier=\"normalized\"} 4"));
         assert!(text.contains("sbomdiff_match_total{tier=\"fuzzy\"} 0"));
@@ -807,19 +778,11 @@ mod tests {
         assert_eq!(m.advisories_matched(Severity::Critical), 2);
         assert_eq!(m.advisories_matched(Severity::Medium), 5);
         assert_eq!(m.advisories_matched(Severity::Low), 0);
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(text.contains("sbomdiff_advisories_matched_total{severity=\"critical\"} 2"));
         assert!(text.contains("sbomdiff_advisories_matched_total{severity=\"medium\"} 5"));
         assert!(text.contains("sbomdiff_advisories_matched_total{severity=\"low\"} 0"));
         assert!(text.contains("sbomdiff_advisories_matched_total{severity=\"high\"} 0"));
-    }
-
-    #[test]
-    fn enrich_cache_exposition_renders_counters() {
-        let text = Metrics::render_enrich_cache(11, 4, 2);
-        assert!(text.contains("sbomdiff_enrich_cache_hits_total 11"));
-        assert!(text.contains("sbomdiff_enrich_cache_misses_total 4"));
-        assert!(text.contains("sbomdiff_enrich_cache_expired_total 2"));
     }
 
     #[test]
@@ -840,7 +803,7 @@ mod tests {
         m.record_quality_score("best-practice", "total", 100.0);
         assert_eq!(m.quality_score("trivy-like", "supplier"), Some(62.5));
         assert_eq!(m.quality_score("trivy-like", "nope"), None);
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(text.contains("# TYPE sbomdiff_quality_score gauge"));
         assert!(text.contains(
             "sbomdiff_quality_score{profile=\"best-practice\",check=\"total\"} 100.000000"
@@ -865,9 +828,24 @@ mod tests {
         m.record_ingest(Some(SbomFormat::CycloneDx), 10);
         m.record_quality_score("trivy-like", "supplier", 62.5);
         m.record_quality_score("weird\"\\\n", "total", 10.0);
-        let mut text = m.render(1, 2, 0);
-        text.push_str(&Metrics::render_parse_cache(3, 4));
-        text.push_str(&Metrics::render_enrich_cache(5, 6, 7));
+        let mut text = m.render(0);
+        for (i, prefix) in [
+            "sbomdiff_cache",
+            "sbomdiff_parse_cache",
+            "sbomdiff_enrich_cache",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let n = i as u64;
+            let stats = CacheStats {
+                hits: n + 1,
+                misses: n + 2,
+                evictions: n + 3,
+                expired: n + 4,
+            };
+            Metrics::render_cache(&mut text, prefix, "Some cache", stats);
+        }
 
         let mut declared: Vec<String> = Vec::new();
         let mut last_help: Option<String> = None;
@@ -950,7 +928,7 @@ mod tests {
         assert_eq!(m.diagnostics(DiagClass::MalformedFile), 2);
         assert_eq!(m.diagnostics(DiagClass::TruncatedInput), 0);
         assert_eq!(m.total_diagnostics(), 3);
-        let text = m.render(0, 0, 0);
+        let text = m.render(0);
         assert!(text.contains("sbomdiff_diagnostics_total{class=\"malformed-file\"} 2"));
         assert!(text.contains("sbomdiff_diagnostics_total{class=\"unpinned-dropped\"} 1"));
         assert!(text.contains("sbomdiff_diagnostics_total{class=\"io-error\"} 0"));

@@ -461,7 +461,7 @@ impl EventLoop {
                 // is subject to admission control. This probe is the
                 // request's one cache lookup; a miss carries its key along.
                 let key = api::cache_key(&parsed.request);
-                if let Some(entry) = key.and_then(|key| self.state.cache.get(key)) {
+                if let Some(entry) = key.and_then(|key| self.state.cache.get(&key)) {
                     self.state
                         .metrics
                         .record(endpoint, entry.status(), now.elapsed());
@@ -789,7 +789,7 @@ mod tests {
         let (s2, b2) = http_request(handle.addr(), "POST", "/v1/analyze", payload);
         assert_eq!((s1, s2), (200, 200));
         assert_eq!(b1, b2);
-        assert!(handle.state().cache.hits() >= 1);
+        assert!(handle.state().cache.stats().hits >= 1);
         handle.shutdown();
     }
 

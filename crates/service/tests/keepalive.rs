@@ -209,7 +209,7 @@ fn batch_endpoint_amortizes_many_requests_over_one_round_trip() {
         "{body}"
     );
     // Identical sub-requests inside one batch share the response cache.
-    assert!(handle.state().cache.hits() >= 1);
+    assert!(handle.state().cache.stats().hits >= 1);
     handle.shutdown();
 }
 

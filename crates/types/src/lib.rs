@@ -17,6 +17,7 @@
 //! assert!(req.matches(&v));
 //! ```
 
+pub mod cache;
 pub mod component;
 pub mod constraint;
 pub mod cpe;
@@ -29,6 +30,7 @@ pub mod name;
 pub mod purl;
 pub mod version;
 
+pub use cache::{CacheStats, Sharded};
 pub use component::{Component, ComponentKey, Sbom, SbomMeta};
 pub use constraint::{Comparator, ConstraintFlavor, Op, VersionReq};
 pub use cpe::Cpe;

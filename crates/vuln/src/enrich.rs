@@ -1,11 +1,15 @@
-//! TTL'd sharded enrichment cache for per-package advisory lookups.
+//! Sharded enrichment cache for per-package advisory lookups.
 //!
 //! `/v1/impact` batches, the divergence experiment and repeated profile
 //! scans all ask the same `(ecosystem, package)` advisory question many
-//! times; this cache shares that work. Entries expire on a TTL (stale
-//! advisory data must not outlive a feed refresh) and the cache keys on
-//! the database [fingerprint](crate::AdvisoryDb::fingerprint) so lookups
-//! against different seeded universes never alias.
+//! times; this cache shares that work. It is a [`Sharded`] cache keyed on
+//! the database [fingerprint](crate::AdvisoryDb::fingerprint), so lookups
+//! against different seeded universes never alias. Entries expire on a TTL
+//! (stale advisory data must not outlive a feed refresh) and are charged
+//! their canonical-name bytes plus a fixed overhead against a byte budget:
+//! `/v1/impact` takes names from request documents, so without a bound a
+//! stream of distinct names would grow the cache for as long as the
+//! service runs.
 //!
 //! Two fault sites instrument the path (DESIGN.md §15 contract):
 //! [`VULN_LOOKUP`](sbomdiff_faultline::sites::VULN_LOOKUP) fires on every
@@ -14,89 +18,59 @@
 //! **never cached** — degraded answers must not poison later requests.
 
 use std::collections::BTreeSet;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use sbomdiff_faultline as fault;
-use sbomdiff_types::{Ecosystem, ResolvedPackage, Sbom, Version};
+use sbomdiff_types::{CacheStats, Ecosystem, ResolvedPackage, Sbom, Sharded, Version};
 
 use crate::advisory::{Advisory, AdvisoryDb};
 use crate::impact::ImpactReport;
 
-/// Counter snapshot for the `/metrics` exposition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnrichStats {
-    /// Lookups answered from a live cache entry.
-    pub hits: u64,
-    /// Lookups that filled a missing entry.
-    pub misses: u64,
-    /// Lookups that found an entry past its TTL (refilled; also counted
-    /// as a miss).
-    pub expired: u64,
-}
+/// Byte budget. A default `experiments vuln` run fills about 6,300
+/// entries (under 1 MB as charged), so only a service fed a stream of
+/// distinct package names ever evicts.
+const CAPACITY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Fixed accounting overhead per entry (key, map slot, advisory-slice
+/// `Arc`), added to its canonical-name bytes.
+const ENTRY_OVERHEAD: usize = 128;
+
+/// Entry lifetime: a feed-refresh cadence. Entries are small, so expiry is
+/// about staleness; the byte budget is what bounds memory.
+const TTL: Duration = Duration::from_secs(300);
 
 type Key = (u64, Ecosystem, String);
 
-struct Entry {
-    advisories: Arc<Vec<Advisory>>,
-    expires: Instant,
-}
-
-/// The sharded TTL cache. Keys are `(db fingerprint, ecosystem,
-/// canonical package)`; values are the package's full advisory slice
+/// The enrichment cache. Keys are `(db fingerprint, ecosystem, canonical
+/// package)`; values are the package's full advisory slice
 /// (version-independent — the caller evaluates ranges per version, so
 /// one fill serves every version and every profile).
 pub struct EnrichCache {
-    shards: Vec<Mutex<HashMap<Key, Entry>>>,
-    ttl: Duration,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expired: AtomicU64,
+    entries: Sharded<Key, Arc<Vec<Advisory>>>,
 }
 
 impl EnrichCache {
-    /// Default shape: 8 shards, 5-minute TTL (matches a feed-refresh
-    /// cadence; entries are tiny so expiry is about staleness, not
-    /// memory).
+    /// An empty cache with the fixed byte budget and 5-minute TTL.
     pub fn new() -> Self {
-        Self::with(8, Duration::from_secs(300))
-    }
-
-    /// Custom shard count and TTL.
-    pub fn with(shards: usize, ttl: Duration) -> Self {
         EnrichCache {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            ttl,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
+            entries: Sharded::new(CAPACITY_BYTES, Some(TTL)),
         }
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> EnrichStats {
-        EnrichStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.entries.stats()
     }
 
-    /// Live entries across all shards.
+    /// Entries held across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.entries.len()
     }
 
     /// True when no entry is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// The advisory slice for `(ecosystem, name)`, from cache or filled
@@ -113,61 +87,22 @@ impl EnrichCache {
         eco: Ecosystem,
         name: &str,
     ) -> Result<Arc<Vec<Advisory>>, String> {
-        self.advisories_for_at(db, eco, name, Instant::now())
-    }
-
-    /// [`advisories_for`](Self::advisories_for) with an explicit clock,
-    /// so TTL expiry is testable without sleeping.
-    pub fn advisories_for_at(
-        &self,
-        db: &AdvisoryDb,
-        eco: Ecosystem,
-        name: &str,
-        now: Instant,
-    ) -> Result<Arc<Vec<Advisory>>, String> {
         let canonical = sbomdiff_types::name::normalize(eco, name);
         if let Some(surfaced) = fault::point!(fault::sites::VULN_LOOKUP, &canonical) {
             return Err(surfaced.message(fault::sites::VULN_LOOKUP));
         }
         let key = (db.fingerprint(), eco, canonical);
-        let shard = &self.shards[self.shard_of(&key)];
-        {
-            let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            match guard.get(&key) {
-                Some(entry) if entry.expires > now => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&entry.advisories));
-                }
-                Some(_) => {
-                    self.expired.fetch_add(1, Ordering::Relaxed);
-                    guard.remove(&key);
-                }
-                None => {}
-            }
+        if let Some(advisories) = self.entries.get(&key) {
+            return Ok(advisories);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(surfaced) = fault::point!(fault::sites::VULN_ENRICH, &key.2) {
             return Err(surfaced.message(fault::sites::VULN_ENRICH));
         }
         let advisories: Arc<Vec<Advisory>> =
             Arc::new(db.for_package(eco, &key.2).into_iter().cloned().collect());
-        shard.lock().unwrap_or_else(PoisonError::into_inner).insert(
-            key,
-            Entry {
-                advisories: Arc::clone(&advisories),
-                expires: now + self.ttl,
-            },
-        );
+        let cost = key.2.len() + ENTRY_OVERHEAD;
+        self.entries.insert(key, Arc::clone(&advisories), cost);
         Ok(advisories)
-    }
-
-    fn shard_of(&self, key: &Key) -> usize {
-        // FNV-1a over the canonical name + fingerprint: cheap, stable.
-        let mut h = 0xcbf29ce484222325u64 ^ key.0;
-        for b in key.2.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        (h as usize) % self.shards.len()
     }
 }
 
@@ -254,33 +189,40 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_refills() {
+    fn distinct_names_past_the_budget_evict_and_refill() {
+        // Every name costs more than the overhead alone, so this many
+        // distinct names overfill the budget about twice over.
         let db = db();
-        let cache = EnrichCache::with(4, Duration::from_secs(60));
-        let t0 = Instant::now();
-        cache
-            .advisories_for_at(&db, Ecosystem::Python, "numpy", t0)
-            .unwrap();
-        // Within the TTL: a hit.
-        cache
-            .advisories_for_at(
-                &db,
-                Ecosystem::Python,
-                "numpy",
-                t0 + Duration::from_secs(30),
-            )
-            .unwrap();
-        // Past the TTL: expired + refilled.
-        cache
-            .advisories_for_at(
-                &db,
-                Ecosystem::Python,
-                "numpy",
-                t0 + Duration::from_secs(61),
-            )
-            .unwrap();
+        let cache = EnrichCache::new();
+        let ids = |advisories: &[Advisory]| -> Vec<String> {
+            advisories.iter().map(|a| a.id.clone()).collect()
+        };
+        let (eco, name) = db
+            .advisories()
+            .iter()
+            .map(|a| (a.ecosystem, a.package.clone()))
+            .next()
+            .expect("the seeded universe has advisories");
+        let first = ids(&cache.advisories_for(&db, eco, &name).unwrap());
+        assert!(!first.is_empty());
+        for i in 0..2 * CAPACITY_BYTES / ENTRY_OVERHEAD {
+            cache
+                .advisories_for(&db, Ecosystem::Python, &format!("flood-{i}"))
+                .unwrap();
+            assert!(cache.entries.cost() <= cache.entries.capacity());
+        }
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.expired), (1, 2, 1));
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert!(cache.len() < 2 * CAPACITY_BYTES / ENTRY_OVERHEAD);
+        // The first name was its shard's least recently used entry: it was
+        // evicted, and a lookup refills the same advisories.
+        let refilled = ids(&cache.advisories_for(&db, eco, &name).unwrap());
+        assert_eq!(
+            cache.stats().misses,
+            stats.misses + 1,
+            "evicted name refills"
+        );
+        assert_eq!(refilled, first);
     }
 
     #[test]

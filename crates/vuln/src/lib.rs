@@ -25,6 +25,6 @@ pub mod impact;
 pub mod osv;
 
 pub use advisory::{Advisory, AdvisoryDb, Severity};
-pub use enrich::{assess_cached, EnrichCache, EnrichStats};
+pub use enrich::{assess_cached, EnrichCache};
 pub use impact::{assess, assess_in, ImpactReport};
 pub use osv::{db_to_osv_json, ingest_osv, OsvEvent, OsvRange, RangeKind};
