@@ -1,13 +1,16 @@
 //! Benchmarks of the vulnerability-impact enrichment path (DESIGN.md
-//! §19): OSV range evaluation, indexed advisory matching, the TTL'd
-//! enrichment cache on its warm path, and OSV feed (de)serialization —
+//! §19): OSV range evaluation, indexed advisory matching, one assessment
+//! straight off the index next to the same assessment through the
+//! enrichment cache (warm and cold), and OSV feed (de)serialization —
 //! the pieces `POST /v1/impact` and `experiments vuln` sit on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use sbomdiff_registry::Registries;
 use sbomdiff_types::{Component, Ecosystem, ResolvedPackage, Sbom, Version};
-use sbomdiff_vuln::{assess_cached, db_to_osv_json, ingest_osv, AdvisoryDb, EnrichCache};
+use sbomdiff_vuln::{
+    assess_cached, assess_in, db_to_osv_json, ingest_osv, AdvisoryDb, EnrichCache,
+};
 
 fn world() -> (Registries, AdvisoryDb) {
     let registries = Registries::generate(8);
@@ -70,6 +73,11 @@ fn bench_enrichment(c: &mut Criterion) {
     let (sbom, truth) = scan_pair(&registries, &db);
     let mut group = c.benchmark_group("vuln_enrichment");
     group.throughput(Throughput::Elements(truth.len() as u64));
+    // No cache: every lookup goes to the database index — the baseline
+    // the cache has to beat.
+    group.bench_function("assess_direct", |b| {
+        b.iter(|| assess_in(&db, Ecosystem::Python, black_box(&sbom), &truth))
+    });
     // Warm path: every `(ecosystem, package)` already cached — this is
     // what repeated /v1/impact batches over one advisory universe see.
     group.bench_function("assess_cached_warm", |b| {

@@ -22,7 +22,8 @@ use sbomdiff_matching::{match_sboms, MatchConfig, MatchTier};
 use sbomdiff_parallel::{par_map, Profiler};
 use sbomdiff_registry::Registries;
 use sbomdiff_resolver::{dry_run, Platform};
-use sbomdiff_types::{DiagClass, Ecosystem, ResolvedPackage, Sbom, Version};
+use sbomdiff_types::{DiagClass, Ecosystem, Sbom, Version};
+use sbomdiff_vuln::ImpactCounts;
 
 /// sbom-tool registry failure rate used across experiments (§V-C:
 /// resolution "often fails").
@@ -1080,53 +1081,31 @@ pub fn vulnimpact(ctx: &Context) {
         "miss rate",
         "false-alarm rate",
     ]);
-    // Per-repository findings are summed (the same advisory hitting two
-    // repositories is two findings a security team must triage).
-    let mut counts = [[0usize; 4]; 4]; // [tool][actual, detected, missed, fa]
+    let mut counts = [ImpactCounts::default(); 4];
     let per_repo = ctx.phase("vuln assessments", repos.len() as u64, || {
         par_map(ctx.jobs(), repos, |idx, repo| {
+            // The truth is pip's dry run, so it is Python whatever the
+            // SBOM's first component says.
             let truth = dry_run(registry, &repo.text_files(), "requirements.txt", &platform);
-            let mut repo_counts = [[0usize; 4]; 4];
-            for (i, sbom) in sboms[idx].iter().enumerate() {
-                let r = sbomdiff_vuln::assess(&db, sbom, &truth.installed);
-                repo_counts[i] = [
-                    r.actual.len(),
-                    r.detected.len(),
-                    r.missed.len(),
-                    r.false_alarms.len(),
-                ];
-            }
-            repo_counts
+            sboms[idx].each_ref().map(|sbom| {
+                sbomdiff_vuln::assess_in(&db, Ecosystem::Python, sbom, &truth.installed).counts()
+            })
         })
     });
     for repo_counts in per_repo {
-        for (tool, cells) in counts.iter_mut().zip(repo_counts) {
-            for (acc, n) in tool.iter_mut().zip(cells) {
-                *acc += n;
-            }
+        for (acc, c) in counts.iter_mut().zip(repo_counts) {
+            *acc += c;
         }
     }
-    for (i, tool) in TOOL_ORDER.iter().enumerate() {
-        let [actual, detected, missed, fa] = counts[i];
-        let miss_rate = if actual == 0 {
-            0.0
-        } else {
-            missed as f64 / actual as f64
-        };
-        let raised = detected + fa;
-        let fa_rate = if raised == 0 {
-            0.0
-        } else {
-            fa as f64 / raised as f64
-        };
+    for (tool, c) in TOOL_ORDER.iter().zip(counts) {
         table.row([
             tool.label().to_string(),
-            actual.to_string(),
-            detected.to_string(),
-            missed.to_string(),
-            fa.to_string(),
-            format!("{:.0}%", miss_rate * 100.0),
-            format!("{:.0}%", fa_rate * 100.0),
+            c.actual.to_string(),
+            c.detected.to_string(),
+            c.missed.to_string(),
+            c.false_alarms.to_string(),
+            format!("{:.0}%", c.miss_rate() * 100.0),
+            format!("{:.0}%", c.false_alarm_rate() * 100.0),
         ]);
     }
     println!("{table}");
@@ -1313,16 +1292,8 @@ pub fn vuln(ctx: &Context) {
             repos.len() as u64,
             || {
                 par_map(ctx.jobs(), repos, |idx, repo| {
-                    let truth: Vec<ResolvedPackage> = best
-                        .generate(repo)
-                        .components()
-                        .iter()
-                        .filter_map(|c| {
-                            let version = Version::parse(c.version.as_deref()?).ok()?;
-                            Some(ResolvedPackage::direct(c.name.clone(), version))
-                        })
-                        .collect();
-                    let mut counts = [[0usize; 4]; 4];
+                    let truth = sbomdiff_vuln::pinned_truth(&best.generate(repo));
+                    let mut counts = [ImpactCounts::default(); 4];
                     let mut jaccard_truth = [0.0f64; 4];
                     let mut raised: [BTreeSet<String>; 4] = Default::default();
                     for (i, sbom) in sboms[idx].iter().enumerate() {
@@ -1331,12 +1302,7 @@ pub fn vuln(ctx: &Context) {
                         // SBOMDIFF_FAULTS run alive on the uncached path.
                         let r = sbomdiff_vuln::assess_cached(&cache, &db, eco, sbom, &truth)
                             .unwrap_or_else(|_| sbomdiff_vuln::assess_in(&db, eco, sbom, &truth));
-                        counts[i] = [
-                            r.actual.len(),
-                            r.detected.len(),
-                            r.missed.len(),
-                            r.false_alarms.len(),
-                        ];
+                        counts[i] = r.counts();
                         let mut set = r.detected.clone();
                         set.extend(r.false_alarms.iter().cloned());
                         jaccard_truth[i] = set_jaccard(&set, &r.actual);
@@ -1353,14 +1319,12 @@ pub fn vuln(ctx: &Context) {
             },
         );
         let n = rows.len().max(1) as f64;
-        let mut totals = [[0usize; 4]; 4];
+        let mut totals = [ImpactCounts::default(); 4];
         let mut jt_sums = [0.0f64; 4];
         let mut pw_sums = [[0.0f64; 4]; 4];
         for (counts, jaccard_truth, pairwise) in &rows {
             for i in 0..4 {
-                for (acc, v) in totals[i].iter_mut().zip(counts[i]) {
-                    *acc += v;
-                }
+                totals[i] += counts[i];
                 jt_sums[i] += jaccard_truth[i];
                 for j in 0..4 {
                     pw_sums[i][j] += pairwise[i][j];
@@ -1368,28 +1332,17 @@ pub fn vuln(ctx: &Context) {
             }
         }
         for (i, tool) in TOOL_ORDER.iter().enumerate() {
-            let [actual, detected, missed, fa] = totals[i];
-            let miss_rate = if actual == 0 {
-                0.0
-            } else {
-                missed as f64 / actual as f64
-            };
-            let raised_total = detected + fa;
-            let fa_rate = if raised_total == 0 {
-                0.0
-            } else {
-                fa as f64 / raised_total as f64
-            };
+            let c = totals[i];
             let mut row = vec![
                 eco.label().to_string(),
                 tool.label().to_string(),
                 rows.len().to_string(),
-                actual.to_string(),
-                detected.to_string(),
-                missed.to_string(),
-                fa.to_string(),
-                format!("{:.4}", miss_rate),
-                format!("{:.4}", fa_rate),
+                c.actual.to_string(),
+                c.detected.to_string(),
+                c.missed.to_string(),
+                c.false_alarms.to_string(),
+                format!("{:.4}", c.miss_rate()),
+                format!("{:.4}", c.false_alarm_rate()),
                 format!("{:.4}", jt_sums[i] / n),
             ];
             for sum in &pw_sums[i] {

@@ -110,7 +110,7 @@ impl ParseCache {
     /// An empty cache with the default byte budget.
     pub fn new() -> Self {
         ParseCache {
-            entries: Sharded::new(DEFAULT_CAPACITY_BYTES, None),
+            entries: Sharded::new(DEFAULT_CAPACITY_BYTES),
         }
     }
 

@@ -13,8 +13,8 @@ use sbomdiff_metadata::{
 };
 use sbomdiff_registry::{FlakyRegistry, Registries};
 use sbomdiff_types::{
-    Component, DeclaredDependency, DepScope, DiagClass, Diagnostic, Ecosystem, Purl, Sbom, Symbol,
-    Version,
+    fnv1a, Component, DeclaredDependency, DepScope, DiagClass, Diagnostic, Ecosystem, Purl, Sbom,
+    Symbol, Version,
 };
 
 use crate::profile::{GoVersionStyle, JavaNaming, SubspecNaming, ToolProfile, VersionPolicy};
@@ -108,18 +108,10 @@ impl<'r> ToolEmulator<'r> {
 
     fn client_for(&self, eco: Ecosystem, repo: &RepoFs) -> Option<FlakyRegistry<'_>> {
         self.registry.as_ref().map(|h| {
-            let seed = fnv(repo.name()) ^ fnv(self.profile.id.label());
+            let seed = fnv1a(repo.name().as_bytes()) ^ fnv1a(self.profile.id.label().as_bytes());
             FlakyRegistry::new(h.registries.for_ecosystem(eco), h.failure_rate, seed)
         })
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl SbomGenerator for ToolEmulator<'_> {

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use sbomdiff_types::Ecosystem;
+use sbomdiff_types::{fnv1a, Ecosystem};
 
 /// Tuning knobs for the candidate index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,17 +54,6 @@ fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over bytes: deterministic across runs and platforms, unlike
-/// `DefaultHasher`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The banded MinHash signature of a name: one bucket hash per band.

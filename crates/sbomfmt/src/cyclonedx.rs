@@ -1,7 +1,9 @@
 //! CycloneDX 1.5 JSON serialization; [`crate::ingest`] reads it back.
 
+use std::hash::Hasher;
+
 use sbomdiff_textformats::{json, Value};
-use sbomdiff_types::{Component, Cpe, Ecosystem, Purl, Sbom};
+use sbomdiff_types::{Component, Cpe, Ecosystem, Fnv1a, Purl, Sbom};
 
 pub(crate) const PROP_ECOSYSTEM: &str = "sbomdiff:ecosystem";
 pub(crate) const PROP_FOUND_IN: &str = "sbomdiff:found_in";
@@ -155,10 +157,10 @@ pub fn to_string_pretty(sbom: &Sbom) -> String {
 /// Deterministic pseudo-UUID from tool and subject (FNV-1a based), so
 /// repeated runs produce identical documents.
 fn deterministic_uuid(tool: &str, subject: &str) -> String {
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tool.bytes().chain(subject.bytes()) {
-        h1 = (h1 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
+    let mut fnv = Fnv1a::default();
+    fnv.write(tool.as_bytes());
+    fnv.write(subject.as_bytes());
+    let h1 = fnv.finish();
     let mut h2 = h1.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h2 ^= h2 >> 29;
     format!(

@@ -9,6 +9,7 @@
 //! SBOMs they annotate.
 
 use sbomdiff_textformats::{json, TextError, Value};
+use sbomdiff_types::fnv1a;
 
 /// A VEX statement status (OpenVEX vocabulary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +96,7 @@ impl VexDocument {
             "@id",
             Value::from(format!(
                 "https://sbomdiff.example/vex/{}",
-                fnv(&self.author)
+                fnv1a(self.author.as_bytes())
             )),
         );
         doc.set("author", Value::from(self.author.clone()));
@@ -195,14 +196,6 @@ impl std::str::FromStr for VexDocument {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         VexDocument::parse(s)
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

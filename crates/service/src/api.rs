@@ -21,7 +21,9 @@ use sbomdiff_registry::Registries;
 use sbomdiff_sbomfmt::{ingest, SbomFormat};
 use sbomdiff_textformats::{json, Value};
 use sbomdiff_types::{DiagClass, Diagnostic, Ecosystem, ResolvedPackage, Sbom, Version};
-use sbomdiff_vuln::{assess_cached, AdvisoryDb, EnrichCache, ImpactReport};
+use sbomdiff_vuln::{
+    assess_cached, inferred_ecosystem, pinned_truth, AdvisoryDb, EnrichCache, ImpactReport,
+};
 
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
@@ -62,7 +64,7 @@ impl AppState {
     pub fn new(default_seed: u64, cache_capacity: usize) -> Self {
         AppState {
             default_seed,
-            cache: ResponseCache::new(cache_capacity, None),
+            cache: ResponseCache::new(cache_capacity),
             metrics: Metrics::new(),
             parse_cache: ParseCache::new(),
             enrich: EnrichCache::new(),
@@ -837,7 +839,7 @@ fn impact(state: &AppState, doc: &Value) -> Response {
         },
     };
     let truth = match doc.get("truth") {
-        None | Some(Value::Null) => sbom_as_truth(&outcomes[0].sbom),
+        None | Some(Value::Null) => pinned_truth(&outcomes[0].sbom),
         Some(value) => match parse_truth(value) {
             Ok(t) => t,
             Err(msg) => return Response::error(400, msg),
@@ -848,9 +850,7 @@ fn impact(state: &AppState, doc: &Value) -> Response {
     let mut rows = Vec::with_capacity(outcomes.len());
     for outcome in &outcomes {
         let sbom = &outcome.sbom;
-        let eco = pinned_eco
-            .or_else(|| sbom.components().first().map(|c| c.ecosystem))
-            .unwrap_or(Ecosystem::Python);
+        let eco = pinned_eco.unwrap_or_else(|| inferred_ecosystem(sbom));
         let mut row = Value::object();
         row.set("tool", Value::from(sbom.meta.tool_name.clone()));
         row.set("subject", Value::from(sbom.meta.subject.clone()));
@@ -903,8 +903,9 @@ fn impact_report_fields(row: &mut Value, report: &ImpactReport) {
             Value::Array(ids.iter().map(|id| Value::from(id.clone())).collect()),
         );
     }
-    row.set("miss_rate", Value::from(report.miss_rate()));
-    row.set("false_alarm_rate", Value::from(report.false_alarm_rate()));
+    let counts = report.counts();
+    row.set("miss_rate", Value::from(counts.miss_rate()));
+    row.set("false_alarm_rate", Value::from(counts.false_alarm_rate()));
 }
 
 /// Counts the raised advisories (detected + false alarms — what an
@@ -915,16 +916,6 @@ fn record_raised_severities(state: &AppState, db: &AdvisoryDb, report: &ImpactRe
             state.metrics.record_advisories(adv.severity, 1);
         }
     }
-}
-
-fn sbom_as_truth(sbom: &Sbom) -> Vec<ResolvedPackage> {
-    sbom.components()
-        .iter()
-        .filter_map(|c| {
-            let version = Version::parse(c.version.as_deref()?).ok()?;
-            Some(ResolvedPackage::direct(c.name.clone(), version))
-        })
-        .collect()
 }
 
 fn parse_truth(value: &Value) -> Result<Vec<ResolvedPackage>, &'static str> {

@@ -28,6 +28,7 @@ use sbomdiff_corpus::{Corpus, CorpusConfig};
 use sbomdiff_registry::Registries;
 use sbomdiff_sbomfmt::SbomFormat;
 use sbomdiff_textformats::{json, Value};
+use sbomdiff_types::fnv1a;
 
 use crate::server::{ServeConfig, Server};
 
@@ -703,7 +704,7 @@ fn run_client(
             payload_idx,
             status,
             latency_micros: started.elapsed().as_micros() as u64,
-            body_hash: fnv64(response_body.as_bytes()),
+            body_hash: fnv1a(response_body.as_bytes()),
         });
         request_no += clients;
     }
@@ -790,14 +791,6 @@ fn scrape_sum(metrics_text: &str, prefix: &str) -> u64 {
         .filter_map(|line| line.rsplit(' ').next())
         .filter_map(|v| v.parse::<u64>().ok())
         .sum()
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -392,7 +392,7 @@ impl Metrics {
     }
 
     /// Appends one cache's counters in the exposition format:
-    /// `<prefix>_{hits,misses,evictions,expired}_total` and
+    /// `<prefix>_{hits,misses,evictions}_total` and
     /// `<prefix>_hit_ratio`, with HELP text naming `what`. Kept out of
     /// `/v1/analyze` responses: the counters depend on request history, and
     /// analyze responses must stay byte-identical for identical payloads.
@@ -405,7 +405,6 @@ impl Metrics {
                 "entries evicted to stay within budget",
                 stats.evictions,
             ),
-            ("expired", "entries evicted after expiry", stats.expired),
         ] {
             let name = format!("{prefix}_{suffix}_total");
             family(out, &name, "counter", &format!("{what} {help}."));
@@ -707,7 +706,6 @@ mod tests {
             hits: 5,
             misses: 10,
             evictions: 3,
-            expired: 2,
         };
         Metrics::render_cache(
             &mut text,
@@ -721,7 +719,6 @@ mod tests {
             "sbomdiff_enrich_cache_hits_total 5",
             "sbomdiff_enrich_cache_misses_total 10",
             "sbomdiff_enrich_cache_evictions_total 3",
-            "sbomdiff_enrich_cache_expired_total 2",
             "# TYPE sbomdiff_enrich_cache_hit_ratio gauge",
             "sbomdiff_enrich_cache_hit_ratio 0.333333",
         ] {
@@ -730,7 +727,7 @@ mod tests {
                 "missing {line:?} in\n{text}"
             );
         }
-        assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 5);
+        assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 4);
     }
 
     #[test]
@@ -842,7 +839,6 @@ mod tests {
                 hits: n + 1,
                 misses: n + 2,
                 evictions: n + 3,
-                expired: n + 4,
             };
             Metrics::render_cache(&mut text, prefix, "Some cache", stats);
         }

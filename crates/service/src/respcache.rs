@@ -3,9 +3,9 @@
 //! Every analysis endpoint is a pure function of its request body (seeds
 //! are part of the payload; nothing is time- or scheduling-dependent), so
 //! identical payloads can be answered from cache byte-for-byte. The cache
-//! is the shared [`Sharded`] LRU with no TTL, and every response costs 1,
-//! so `--cache N` holds N responses; this module owns the key and the
-//! cached entry's wire form.
+//! is the shared [`Sharded`] LRU, and every response costs 1, so
+//! `--cache N` holds N responses; this module owns the key and the cached
+//! entry's wire form.
 //!
 //! The key is 128 bits: two domain-separated 64-bit halves of std's
 //! SipHash-1-3 ([`DefaultHasher::new`]) over `path + NUL + body`, computed
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn hit_after_put() {
-        let cache = ResponseCache::new(8, None);
+        let cache = ResponseCache::new(8);
         let key = key("/v1/diff", b"x");
         assert!(cache.get(&key).is_none());
         cache.insert(key, resp("one"), 1);
@@ -148,7 +148,7 @@ mod tests {
     fn lru_evicts_oldest_within_shard() {
         // Single-entry shards: every insertion evicts the previous tenant
         // of its shard, and the recently-used key must survive its shard.
-        let cache = ResponseCache::new(1, None);
+        let cache = ResponseCache::new(1);
         let keys: Vec<u128> = (0..64u8).map(|i| key("/v1/analyze", &[i])).collect();
         for (i, &k) in keys.iter().enumerate() {
             cache.insert(k, resp(&i.to_string()), 1);
@@ -162,7 +162,7 @@ mod tests {
     fn keys_spread_over_every_shard() {
         // One entry per shard: 400 distinct keys must land in all 16
         // shards, so the cache ends up holding 16 responses.
-        let cache = ResponseCache::new(16, None);
+        let cache = ResponseCache::new(16);
         for i in 0..400u32 {
             let key = key("/v1/analyze", &i.to_le_bytes());
             cache.insert(key, resp(&i.to_string()), 1);
@@ -175,7 +175,7 @@ mod tests {
         // Two entries per shard: a hot key touched before every insertion
         // is never the LRU of its shard, so evictions always pick a cold
         // neighbor and the hot entry survives arbitrarily many inserts.
-        let cache = ResponseCache::new(32, None);
+        let cache = ResponseCache::new(32);
         let hot = key("/v1/diff", b"hot");
         cache.insert(hot, resp("hot"), 1);
         for i in 0..255u8 {
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        let cache = std::sync::Arc::new(ResponseCache::new(64, None));
+        let cache = std::sync::Arc::new(ResponseCache::new(64));
         let key = key("/healthz", b"");
         cache.insert(key, resp("ok"), 1);
         let results = sbomdiff_parallel::par_map(4, &[0u8; 16], |_, _| {

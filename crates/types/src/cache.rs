@@ -1,11 +1,10 @@
-//! One sharded, cost-bounded LRU cache with an optional TTL.
+//! One sharded, cost-bounded LRU cache.
 //!
 //! sbomdiff memoizes three kinds of answers that many callers ask for at
 //! once: metadata parses (`sbomdiff-generators`), whole HTTP responses
 //! (`sbomdiff-service`) and per-package advisory slices (`sbomdiff-vuln`).
-//! [`Sharded`] holds all three. Each caller chooses its key, what an entry
-//! costs (bytes, or 1 per response) and whether entries expire; the cache
-//! owns everything else:
+//! [`Sharded`] holds all three. Each caller chooses its key and what an
+//! entry costs (bytes, or 1 per response); the cache owns everything else:
 //!
 //! * **Shards.** 16 mutexes, picked by std's SipHash of the key (fixed
 //!   keys, so a key lands in the same shard on every run of one build).
@@ -14,36 +13,35 @@
 //!   of the capacity; an over-budget shard evicts its least-recently-used
 //!   entries until it fits. A lone entry larger than the whole share stays
 //!   (there is nothing useful to evict it for).
-//! * **Expiry.** With a TTL, an entry looked up after its deadline is
-//!   dropped and the lookup misses. Without one the clock is never read.
 //! * **Poison.** A poisoned shard is recovered, not propagated: the cost
 //!   tally is settled right after each map update, and the only caller
 //!   code run under a shard lock is the key's `Hash`/`Eq` and the value's
 //!   `Clone`/`Drop`. The response cache probes from the reactor thread,
 //!   which must not die with a worker.
-//! * **Stats.** One [`CacheStats`] snapshot of hits, misses, evictions and
-//!   expiries, which `/metrics` renders the same way for every cache.
+//! * **Stats.** One [`CacheStats`] snapshot of hits, misses and evictions,
+//!   which `/metrics` renders the same way for every cache.
+//!
+//! Nothing expires: a cache whose answers can go stale keys them on what
+//! they were computed from, so a changed source gets new keys and the old
+//! entries age out under the budget.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 const SHARDS: usize = 16;
 
 /// Counter snapshot of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a live entry.
+    /// Lookups answered from a cached entry.
     pub hits: u64,
-    /// Lookups that found no live entry (the caller computes the answer).
+    /// Lookups that found no entry (the caller computes the answer).
     pub misses: u64,
     /// Entries dropped to keep a shard within its budget.
     pub evictions: u64,
-    /// Lookups that found an entry past its TTL (also counted as misses).
-    pub expired: u64,
 }
 
 impl CacheStats {
@@ -62,8 +60,8 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits, {} misses, {} evictions, {} expired",
-            self.hits, self.misses, self.evictions, self.expired
+            "{} hits, {} misses, {} evictions",
+            self.hits, self.misses, self.evictions
         )
     }
 }
@@ -72,13 +70,12 @@ struct Slot<V> {
     value: V,
     cost: usize,
     last_used: u64,
-    expires: Option<Instant>,
 }
 
 struct Shard<K, V> {
     map: HashMap<K, Slot<V>>,
-    /// Sum of `cost` over `map`. It must stay exact across insert, replace,
-    /// expiry and eviction, or the shard's eviction pressure drifts from
+    /// Sum of `cost` over `map`. It must stay exact across insert, replace
+    /// and eviction, or the shard's eviction pressure drifts from
     /// what it actually holds.
     cost: usize,
     /// Recency clock: bumped by every lookup and insert under the lock.
@@ -105,8 +102,8 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
 /// ```
 /// use sbomdiff_types::cache::Sharded;
 ///
-/// // Budget of 64 cost units spread over 16 shards; no TTL.
-/// let cache: Sharded<&str, u32> = Sharded::new(64, None);
+/// // Budget of 64 cost units spread over 16 shards.
+/// let cache: Sharded<&str, u32> = Sharded::new(64);
 /// assert_eq!(cache.get(&"a"), None);
 /// cache.insert("a", 1, 1);
 /// assert_eq!(cache.get(&"a"), Some(1));
@@ -117,18 +114,15 @@ pub struct Sharded<K, V> {
     shards: [Mutex<Shard<K, V>>; SHARDS],
     /// Per-shard share of the capacity.
     budget: usize,
-    ttl: Option<Duration>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    expired: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
     /// An empty cache holding about `capacity` cost units (split evenly
-    /// over the shards, each keeping at least one unit), whose entries
-    /// expire `ttl` after insertion when a TTL is given.
-    pub fn new(capacity: usize, ttl: Option<Duration>) -> Self {
+    /// over the shards, each keeping at least one unit).
+    pub fn new(capacity: usize) -> Self {
         Sharded {
             shards: std::array::from_fn(|_| {
                 Mutex::new(Shard {
@@ -138,91 +132,23 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
                 })
             }),
             budget: capacity.div_ceil(SHARDS).max(1),
-            ttl,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
         }
     }
 
-    /// The live value under `key`, marking it most recently used. Counts a
-    /// hit or a miss; an expired entry is dropped and counts as both
-    /// expired and missed.
+    /// The value under `key`, marking it most recently used. Counts a hit
+    /// or a miss.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.get_at(key, self.ttl.map(|_| Instant::now()))
-    }
-
-    /// Stores `value` under `key` at `cost`, replacing any previous value,
-    /// then evicts least-recently-used entries of the shard until it fits
-    /// its budget (never the entry just stored).
-    pub fn insert(&self, key: K, value: V, cost: usize) {
-        self.insert_at(key, value, cost, self.ttl.map(|ttl| Instant::now() + ttl));
-    }
-
-    /// Counts a hit answered without a lookup (a caller-side memo in front
-    /// of the cache).
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a miss that bypassed the cache (the caller computed the
-    /// answer without looking it up).
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Entries held (expired ones included until a lookup drops them).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
-    }
-
-    /// True when nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Accounted cost held across all shards.
-    pub fn cost(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).cost).sum()
-    }
-
-    /// The configured capacity, rounded up to whole per-shard budgets.
-    pub fn capacity(&self) -> usize {
-        self.budget * SHARDS
-    }
-
-    fn shard(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
-        lock(&self.shards[shard_index(key)])
-    }
-
-    /// [`get`](Self::get) at clock reading `now` (`None` without a TTL).
-    fn get_at(&self, key: &K, now: Option<Instant>) -> Option<V> {
         let mut guard = self.shard(key);
         let shard = &mut *guard;
         shard.tick += 1;
-        let (found, expired) = match shard.map.get_mut(key) {
-            Some(slot) if slot.expires.zip(now).is_none_or(|(at, now)| now < at) => {
-                slot.last_used = shard.tick;
-                (Some(slot.value.clone()), false)
-            }
-            Some(_) => (None, shard.remove(key)),
-            None => (None, false),
-        };
+        let found = shard.map.get_mut(key).map(|slot| {
+            slot.last_used = shard.tick;
+            slot.value.clone()
+        });
         drop(guard);
-        if expired {
-            self.expired.fetch_add(1, Ordering::Relaxed);
-        }
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -232,8 +158,10 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
         found
     }
 
-    /// [`insert`](Self::insert) with an explicit deadline.
-    fn insert_at(&self, key: K, value: V, cost: usize, expires: Option<Instant>) {
+    /// Stores `value` under `key` at `cost`, replacing any previous value,
+    /// then evicts least-recently-used entries of the shard until it fits
+    /// its budget (never the entry just stored).
+    pub fn insert(&self, key: K, value: V, cost: usize) {
         let mut guard = self.shard(&key);
         let shard = &mut *guard;
         shard.tick += 1;
@@ -241,7 +169,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
             value,
             cost,
             last_used: shard.tick,
-            expires,
         };
         // Debit a replaced entry before crediting the new one: crediting
         // alone inflates the tally on every overwrite, and the phantom cost
@@ -265,6 +192,51 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+    }
+
+    /// Counts a hit answered without a lookup (a caller-side memo in front
+    /// of the cache).
+    pub fn record_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a miss that bypassed the cache (the caller computed the
+    /// answer without looking it up).
+    pub fn record_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Entries held.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
+    }
+
+    /// True when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Accounted cost held across all shards.
+    pub fn cost(&self) -> usize {
+        self.shards.iter().map(|s| lock(s).cost).sum()
+    }
+
+    /// The configured capacity, rounded up to whole per-shard budgets.
+    pub fn capacity(&self) -> usize {
+        self.budget * SHARDS
+    }
+
+    fn shard(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
+        lock(&self.shards[shard_index(key)])
     }
 }
 
@@ -301,7 +273,7 @@ mod tests {
         // must subtract the old entry's cost. With credit-only accounting
         // the tally drifts up by the old cost on every overwrite and the
         // shard evicts while half empty.
-        let cache: Sharded<&str, u32> = Sharded::new(1 << 20, None);
+        let cache: Sharded<&str, u32> = Sharded::new(1 << 20);
         cache.insert("a", 0, 1000);
         assert_eq!(cache.cost(), 1000);
         for round in 1..50 {
@@ -322,7 +294,7 @@ mod tests {
         // One path, ever-changing content: every revision is a distinct
         // key, so a long-lived cache would grow without bound were the
         // budget not enforced.
-        let cache: Sharded<String, Arc<str>> = Sharded::new(16 * 1024, None);
+        let cache: Sharded<String, Arc<str>> = Sharded::new(16 * 1024);
         for i in 0..400 {
             let content = format!("pkg{i}==1.0.{i}\n{}\n", "x".repeat(100));
             let cost = content.len() + 64;
@@ -345,7 +317,7 @@ mod tests {
 
     #[test]
     fn recently_used_entries_survive_eviction() {
-        let cache: Sharded<String, u32> = Sharded::new(8 * 1024, None);
+        let cache: Sharded<String, u32> = Sharded::new(8 * 1024);
         cache.insert("hot".into(), 0, 100);
         for i in 0..200 {
             cache.insert(format!("cold{i}"), i, 180);
@@ -356,30 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_refills() {
-        let cache: Sharded<&str, u32> = Sharded::new(1024, Some(Duration::from_secs(60)));
-        let t0 = Instant::now();
-        let deadline = |at: Instant| Some(at + Duration::from_secs(60));
-        assert_eq!(cache.get_at(&"numpy", Some(t0)), None);
-        cache.insert_at("numpy", 1, 10, deadline(t0));
-        // Within the TTL: a hit.
-        let t30 = t0 + Duration::from_secs(30);
-        assert_eq!(cache.get_at(&"numpy", Some(t30)), Some(1));
-        // Past the TTL: expired, dropped with its cost, refilled.
-        let t61 = t0 + Duration::from_secs(61);
-        assert_eq!(cache.get_at(&"numpy", Some(t61)), None);
-        assert_eq!((cache.len(), cache.cost()), (0, 0));
-        cache.insert_at("numpy", 2, 10, deadline(t61));
-        assert_eq!(cache.get_at(&"numpy", Some(t61)), Some(2));
-        let stats = cache.stats();
-        let counts = (stats.hits, stats.misses, stats.expired, stats.evictions);
-        assert_eq!(counts, (2, 2, 1, 0));
-    }
-
-    #[test]
     fn lone_oversized_entry_stays_until_a_neighbor_arrives() {
         // Budget 100 per shard; one entry costs fifty times that.
-        let cache: Sharded<u32, u32> = Sharded::new(16 * 100, None);
+        let cache: Sharded<u32, u32> = Sharded::new(16 * 100);
         cache.insert(0, 0, 5000);
         assert_eq!(cache.get(&0), Some(0), "a lone entry is never evicted");
         assert_eq!(cache.stats().evictions, 0);
@@ -398,7 +349,7 @@ mod tests {
         // overlapping key range over a budget small enough to evict.
         const THREADS: usize = 8;
         const OPS: u64 = 500;
-        let cache: Sharded<u64, Arc<u64>> = Sharded::new(16 * 40, None);
+        let cache: Sharded<u64, Arc<u64>> = Sharded::new(16 * 40);
         let start = Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {
@@ -425,7 +376,7 @@ mod tests {
 
     #[test]
     fn poisoned_shard_is_recovered() {
-        let cache: Sharded<u32, u32> = Sharded::new(64, None);
+        let cache: Sharded<u32, u32> = Sharded::new(64);
         cache.insert(1, 1, 1);
         let shard = &cache.shards[shard_index(&1)];
         let _ = std::panic::catch_unwind(|| {
@@ -444,13 +395,9 @@ mod tests {
             hits: 1,
             misses: 2,
             evictions: 3,
-            expired: 4,
         };
         assert!((stats.hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-        assert_eq!(
-            stats.to_string(),
-            "1 hits, 2 misses, 3 evictions, 4 expired"
-        );
+        assert_eq!(stats.to_string(), "1 hits, 2 misses, 3 evictions");
     }
 }

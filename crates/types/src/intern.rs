@@ -31,25 +31,57 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// FNV-1a [`Hasher`] for the shard sets: the pooled strings are short
-/// (package names, versions, paths), where FNV beats the DoS-resistant
-/// default — and the pool is capacity-bounded, so collision flooding
-/// cannot grow it anyway.
-#[derive(Default)]
-struct FnvHasher(Option<u64>);
+/// 64-bit FNV-1a as a [`Hasher`]: deterministic across runs, threads and
+/// platforms, unlike std's randomly keyed default. The interner's shard
+/// sets use it because pooled strings are short (package names, versions,
+/// paths) and the pool is capacity-bounded, so collision flooding cannot
+/// grow it; other crates use it for seeds, ids and digests that must repeat
+/// bit for bit.
+///
+/// Feed bytes with [`Hasher::write`]: `Hash::hash` on a `str` also writes a
+/// terminator byte, which changes the value.
+///
+/// # Examples
+///
+/// ```
+/// use std::hash::Hasher;
+/// use sbomdiff_types::intern::{fnv1a, Fnv1a};
+///
+/// let mut h = Fnv1a::default();
+/// h.write(b"num");
+/// h.write(b"py");
+/// assert_eq!(h.finish(), fnv1a(b"numpy"));
+/// ```
+#[derive(Clone, Copy)]
+pub struct Fnv1a(u64);
 
-impl Hasher for FnvHasher {
+impl Default for Fnv1a {
+    #[inline]
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0.unwrap_or(0xcbf2_9ce4_8422_2325);
         for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
-        self.0 = Some(h);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
-        self.0.unwrap_or(0xcbf2_9ce4_8422_2325)
+        self.0
     }
+}
+
+/// [`Fnv1a`] of one byte string.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Entries retained per shard of the global pool (16 shards, so ~1M
@@ -246,7 +278,7 @@ impl From<&Symbol> for String {
 ///
 /// Sharded by content hash; safe to share across threads.
 pub struct Interner {
-    shards: Vec<Mutex<HashSet<Arc<str>, BuildHasherDefault<FnvHasher>>>>,
+    shards: Vec<Mutex<HashSet<Arc<str>, BuildHasherDefault<Fnv1a>>>>,
     cap_per_shard: usize,
 }
 
@@ -309,14 +341,6 @@ pub fn intern(s: &str) -> Symbol {
     GLOBAL.get_or_init(Interner::new).intern(s)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +382,15 @@ mod tests {
         let again = pool.intern("pkg-63");
         assert_eq!(again, symbols[63]);
         assert_eq!(again.id(), symbols[63].id());
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        // FNV-1a 64-bit reference values: seeds, LSH buckets, serial
+        // numbers and digests derived from it depend on every bit.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

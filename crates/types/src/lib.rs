@@ -38,7 +38,7 @@ pub use dependency::{DeclaredDependency, DepScope, DependencySource, ResolvedPac
 pub use diagnostic::{DiagClass, Diagnostic, Severity};
 pub use ecosystem::Ecosystem;
 pub use error::ParseError;
-pub use intern::{intern, Interner, Symbol};
+pub use intern::{fnv1a, intern, Fnv1a, Interner, Symbol};
 pub use name::PackageName;
 pub use purl::Purl;
 pub use version::{PreKind, Version};

@@ -1,14 +1,15 @@
 //! The synthetic OSV-shaped advisory database.
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sbomdiff_registry::Registries;
-use sbomdiff_types::{Ecosystem, Version, VersionReq};
+use sbomdiff_types::{Ecosystem, Fnv1a, Version};
 
-use crate::osv::{OsvEvent, OsvRange, RangeKind};
+use crate::osv::{OsvRange, RangeKind};
 
 /// Advisory severity, CVSS-band style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -101,24 +102,34 @@ impl Advisory {
         self.ranges.iter().any(|r| r.affects(version))
     }
 
-    /// The legacy `VersionReq` equivalent (`<fixed`), for advisories with
-    /// the single half-open-from-zero shape the pre-OSV generator emitted.
-    /// The OSV event walk and this requirement must agree on every
-    /// version (asserted by the `osv_props` property suite).
-    pub fn legacy_req(&self) -> Option<VersionReq> {
-        let [range] = self.ranges.as_slice() else {
-            return None;
+    /// Feeds every field that matching and impact reports read into `h`:
+    /// id, ecosystem, package, each range's kind and events, and severity.
+    /// Each field is prefixed by its length, so no two advisories feed the
+    /// same bytes. Versions go in as their OSV spelling, which an OSV JSON
+    /// round trip preserves.
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        let mut field = |bytes: &[u8]| {
+            h.write(&(bytes.len() as u64).to_le_bytes());
+            h.write(bytes);
         };
-        let [OsvEvent::Introduced(None), OsvEvent::Fixed(fixed)] = range.events.as_slice() else {
-            return None;
-        };
-        VersionReq::parse(
-            &format!("<{}", fixed.to_unprefixed()),
-            sbomdiff_types::ConstraintFlavor::Pep440,
-        )
-        .ok()
+        field(self.id.as_bytes());
+        field(self.ecosystem.label().as_bytes());
+        field(self.package.as_bytes());
+        field(&(self.ranges.len() as u64).to_le_bytes());
+        for range in &self.ranges {
+            field(range.kind.label().as_bytes());
+            field(&(range.events.len() as u64).to_le_bytes());
+            for event in &range.events {
+                field(event.key().as_bytes());
+                field(event.value_string().as_bytes());
+            }
+        }
+        field(self.severity.label().as_bytes());
     }
 }
+
+/// An index key: ecosystem and canonical (registry-normalized) package name.
+pub(crate) type PackageKey = (Ecosystem, String);
 
 /// A seeded advisory database over the synthetic registries, indexed by
 /// `(ecosystem, canonical package)` for per-package lookup.
@@ -140,7 +151,7 @@ impl Advisory {
 #[derive(Debug, Clone, Default)]
 pub struct AdvisoryDb {
     advisories: Vec<Advisory>,
-    index: BTreeMap<(Ecosystem, String), Vec<u32>>,
+    index: BTreeMap<PackageKey, Vec<u32>>,
     by_id: BTreeMap<String, u32>,
     fingerprint: u64,
 }
@@ -149,24 +160,22 @@ impl AdvisoryDb {
     /// Builds a database from explicit advisories (tests, OSV ingestion,
     /// custom feeds).
     pub fn from_advisories(advisories: Vec<Advisory>) -> Self {
-        let mut index: BTreeMap<(Ecosystem, String), Vec<u32>> = BTreeMap::new();
+        let mut index: BTreeMap<PackageKey, Vec<u32>> = BTreeMap::new();
         let mut by_id = BTreeMap::new();
-        let mut fp = 0xcbf29ce484222325u64; // FNV-1a
+        let mut fingerprint = Fnv1a::default();
         for (i, a) in advisories.iter().enumerate() {
             index
                 .entry((a.ecosystem, a.package.clone()))
                 .or_default()
                 .push(i as u32);
             by_id.insert(a.id.clone(), i as u32);
-            for byte in a.id.bytes().chain(a.package.bytes()) {
-                fp = (fp ^ byte as u64).wrapping_mul(0x100000001b3);
-            }
+            a.fingerprint_into(&mut fingerprint);
         }
         AdvisoryDb {
             advisories,
             index,
             by_id,
-            fingerprint: fp,
+            fingerprint: fingerprint.finish(),
         }
     }
 
@@ -271,8 +280,10 @@ impl AdvisoryDb {
         &self.advisories
     }
 
-    /// Content fingerprint (stable across clones and round-trips through
-    /// OSV JSON); enrichment caches shared between databases key on it.
+    /// Content fingerprint over everything matching reads (stable across
+    /// clones and round-trips through OSV JSON): databases that could
+    /// answer any lookup differently get different fingerprints, so
+    /// enrichment caches shared between databases key on it.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -287,15 +298,17 @@ impl AdvisoryDb {
     /// Every advisory for a `(ecosystem, name)` pair, version-independent;
     /// the name is normalized before the index lookup.
     pub fn for_package(&self, eco: Ecosystem, name: &str) -> Vec<&Advisory> {
-        let canonical = sbomdiff_types::name::normalize(eco, name);
+        let key = (eco, sbomdiff_types::name::normalize(eco, name));
+        self.for_key(&key).collect()
+    }
+
+    /// Every advisory under an already-normalized index key.
+    pub(crate) fn for_key(&self, key: &PackageKey) -> impl Iterator<Item = &Advisory> {
         self.index
-            .get(&(eco, canonical))
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|&i| self.advisories.get(i as usize))
-                    .collect()
-            })
-            .unwrap_or_default()
+            .get(key)
+            .into_iter()
+            .flatten()
+            .filter_map(|&i| self.advisories.get(i as usize))
     }
 
     /// Advisories affecting a concrete `(ecosystem, name, version)` triple;
@@ -391,21 +404,5 @@ mod tests {
             db.by_id(&db.advisories()[0].id).map(|a| a.id.as_str()),
             Some(db.advisories()[0].id.as_str())
         );
-    }
-
-    #[test]
-    fn legacy_req_agrees_on_half_open_shape() {
-        let regs = Registries::generate(55);
-        let db = AdvisoryDb::generate(&regs, 9, 0.2);
-        let mut checked = 0;
-        for a in db.advisories() {
-            let Some(req) = a.legacy_req() else { continue };
-            for v in ["0.1.0", "1.0.0", "1.19.2", "2.5.0", "9.9.9"] {
-                let v = Version::parse(v).unwrap();
-                assert_eq!(a.affects(&v), req.matches(&v), "{} at {}", a.id, v);
-            }
-            checked += 1;
-        }
-        assert!(checked > 50, "enough half-open advisories: {checked}");
     }
 }

@@ -3,10 +3,11 @@
 //! `/v1/impact` batches, the divergence experiment and repeated profile
 //! scans all ask the same `(ecosystem, package)` advisory question many
 //! times; this cache shares that work. It is a [`Sharded`] cache keyed on
-//! the database [fingerprint](crate::AdvisoryDb::fingerprint), so lookups
-//! against different seeded universes never alias. Entries expire on a TTL
-//! (stale advisory data must not outlive a feed refresh) and are charged
-//! their canonical-name bytes plus a fixed overhead against a byte budget:
+//! the database [fingerprint](crate::AdvisoryDb::fingerprint), which
+//! covers every field matching reads, so two databases that could answer
+//! any lookup differently never share an entry, and a refreshed feed gets
+//! new keys rather than stale answers. Entries are charged their
+//! canonical-name bytes plus a fixed overhead against a byte budget:
 //! `/v1/impact` takes names from request documents, so without a bound a
 //! stream of distinct names would grow the cache for as long as the
 //! service runs.
@@ -17,15 +18,13 @@
 //! cache fill. A surfaced fault returns a marker-carrying error and is
 //! **never cached** — degraded answers must not poison later requests.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 use sbomdiff_faultline as fault;
-use sbomdiff_types::{CacheStats, Ecosystem, ResolvedPackage, Sbom, Sharded, Version};
+use sbomdiff_types::{CacheStats, Ecosystem, ResolvedPackage, Sbom, Sharded};
 
-use crate::advisory::{Advisory, AdvisoryDb};
-use crate::impact::ImpactReport;
+use crate::advisory::{Advisory, AdvisoryDb, PackageKey};
+use crate::impact::{scan, ImpactReport};
 
 /// Byte budget. A default `experiments vuln` run fills about 6,300
 /// entries (under 1 MB as charged), so only a service fed a stream of
@@ -36,25 +35,19 @@ const CAPACITY_BYTES: usize = 4 * 1024 * 1024;
 /// `Arc`), added to its canonical-name bytes.
 const ENTRY_OVERHEAD: usize = 128;
 
-/// Entry lifetime: a feed-refresh cadence. Entries are small, so expiry is
-/// about staleness; the byte budget is what bounds memory.
-const TTL: Duration = Duration::from_secs(300);
-
-type Key = (u64, Ecosystem, String);
-
-/// The enrichment cache. Keys are `(db fingerprint, ecosystem, canonical
-/// package)`; values are the package's full advisory slice
+/// The enrichment cache. Keys are `(db fingerprint, (ecosystem, canonical
+/// package))`; values are the package's full advisory slice
 /// (version-independent — the caller evaluates ranges per version, so
 /// one fill serves every version and every profile).
 pub struct EnrichCache {
-    entries: Sharded<Key, Arc<Vec<Advisory>>>,
+    entries: Sharded<(u64, PackageKey), Arc<[Advisory]>>,
 }
 
 impl EnrichCache {
-    /// An empty cache with the fixed byte budget and 5-minute TTL.
+    /// An empty cache with the fixed byte budget.
     pub fn new() -> Self {
         EnrichCache {
-            entries: Sharded::new(CAPACITY_BYTES, Some(TTL)),
+            entries: Sharded::new(CAPACITY_BYTES),
         }
     }
 
@@ -86,21 +79,21 @@ impl EnrichCache {
         db: &AdvisoryDb,
         eco: Ecosystem,
         name: &str,
-    ) -> Result<Arc<Vec<Advisory>>, String> {
+    ) -> Result<Arc<[Advisory]>, String> {
         let canonical = sbomdiff_types::name::normalize(eco, name);
         if let Some(surfaced) = fault::point!(fault::sites::VULN_LOOKUP, &canonical) {
             return Err(surfaced.message(fault::sites::VULN_LOOKUP));
         }
-        let key = (db.fingerprint(), eco, canonical);
+        let key = (db.fingerprint(), (eco, canonical));
         if let Some(advisories) = self.entries.get(&key) {
             return Ok(advisories);
         }
-        if let Some(surfaced) = fault::point!(fault::sites::VULN_ENRICH, &key.2) {
+        let package = &key.1;
+        if let Some(surfaced) = fault::point!(fault::sites::VULN_ENRICH, &package.1) {
             return Err(surfaced.message(fault::sites::VULN_ENRICH));
         }
-        let advisories: Arc<Vec<Advisory>> =
-            Arc::new(db.for_package(eco, &key.2).into_iter().cloned().collect());
-        let cost = key.2.len() + ENTRY_OVERHEAD;
+        let advisories: Arc<[Advisory]> = db.for_key(package).cloned().collect();
+        let cost = package.1.len() + ENTRY_OVERHEAD;
         self.entries.insert(key, Arc::clone(&advisories), cost);
         Ok(advisories)
     }
@@ -112,7 +105,7 @@ impl Default for EnrichCache {
     }
 }
 
-/// [`assess`](crate::impact::assess) routed through the enrichment cache:
+/// [`assess_in`](crate::assess_in) routed through the enrichment cache:
 /// both the ground-truth side and the SBOM-driven side pull per-package
 /// advisory slices from the cache and evaluate ranges locally, so a batch
 /// of profiles over the same packages fills each key once.
@@ -128,45 +121,16 @@ pub fn assess_cached(
     sbom: &Sbom,
     truth: &[ResolvedPackage],
 ) -> Result<ImpactReport, String> {
-    let mut report = ImpactReport::default();
-    for pkg in truth {
-        for adv in cache.advisories_for(db, eco, &pkg.name)?.iter() {
-            if adv.affects(&pkg.version) {
-                report.actual.insert(adv.id.clone());
-            }
-        }
-    }
-    let mut raised: BTreeSet<String> = BTreeSet::new();
-    for c in sbom.components() {
-        let Some(version) = c.version.as_deref().and_then(|v| Version::parse(v).ok()) else {
-            continue; // no concrete version → unmatchable entry
-        };
-        for adv in cache.advisories_for(db, c.ecosystem, &c.name)?.iter() {
-            if adv.ecosystem == c.ecosystem && adv.affects(&version) {
-                raised.insert(adv.id.clone());
-            }
-        }
-    }
-    for id in &raised {
-        if report.actual.contains(id) {
-            report.detected.insert(id.clone());
-        } else {
-            report.false_alarms.insert(id.clone());
-        }
-    }
-    for id in &report.actual {
-        if !raised.contains(id) {
-            report.missed.insert(id.clone());
-        }
-    }
-    Ok(report)
+    scan(eco, sbom, truth, |eco, name| {
+        cache.advisories_for(db, eco, name)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sbomdiff_registry::Registries;
-    use sbomdiff_types::Component;
+    use sbomdiff_types::{Component, Version};
 
     fn db() -> AdvisoryDb {
         AdvisoryDb::generate(&Registries::generate(55), 9, 0.5)
@@ -184,7 +148,7 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "normalized names share the entry");
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.expired), (1, 1, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -260,10 +224,7 @@ mod tests {
         ));
         let cached = assess_cached(&cache, &db, Ecosystem::Python, &sbom, &truth).unwrap();
         let direct = crate::impact::assess_in(&db, Ecosystem::Python, &sbom, &truth);
-        assert_eq!(cached.actual, direct.actual);
-        assert_eq!(cached.detected, direct.detected);
-        assert_eq!(cached.missed, direct.missed);
-        assert_eq!(cached.false_alarms, direct.false_alarms);
+        assert_eq!(cached, direct);
         assert!(cache.stats().misses > 0);
     }
 

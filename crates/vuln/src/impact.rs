@@ -1,13 +1,16 @@
 //! SBOM-driven vulnerability scanning vs ground truth.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
+use std::convert::Infallible;
+use std::ops::AddAssign;
 
-use sbomdiff_types::{ResolvedPackage, Sbom, Version};
+use sbomdiff_types::{Ecosystem, ResolvedPackage, Sbom, Version};
 
-use crate::advisory::AdvisoryDb;
+use crate::advisory::{Advisory, AdvisoryDb};
 
 /// The outcome of scanning with an SBOM instead of the true install set.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ImpactReport {
     /// Advisory ids that affect the true install set (the scan target).
     pub actual: BTreeSet<String>,
@@ -22,21 +25,14 @@ pub struct ImpactReport {
 }
 
 impl ImpactReport {
-    /// Share of real vulnerabilities the SBOM-driven scan missed.
-    pub fn miss_rate(&self) -> f64 {
-        if self.actual.is_empty() {
-            return 0.0;
+    /// The sizes of the four id sets.
+    pub fn counts(&self) -> ImpactCounts {
+        ImpactCounts {
+            actual: self.actual.len(),
+            detected: self.detected.len(),
+            missed: self.missed.len(),
+            false_alarms: self.false_alarms.len(),
         }
-        self.missed.len() as f64 / self.actual.len() as f64
-    }
-
-    /// Share of raised findings that are false alarms.
-    pub fn false_alarm_rate(&self) -> f64 {
-        let raised = self.detected.len() + self.false_alarms.len();
-        if raised == 0 {
-            return 0.0;
-        }
-        self.false_alarms.len() as f64 / raised as f64
     }
 
     /// Renders the assessment as VEX statements: detected and missed
@@ -74,15 +70,83 @@ impl ImpactReport {
     }
 }
 
+/// The sizes of an [`ImpactReport`]'s id sets and the two rates derived
+/// from them. Experiments sum counts over repositories: the same advisory
+/// in two repositories is two findings a security team must triage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ImpactCounts {
+    /// Advisories affecting the true install set.
+    pub actual: usize,
+    /// Real advisories the scan raised.
+    pub detected: usize,
+    /// Real advisories the scan missed.
+    pub missed: usize,
+    /// Advisories the scan raised that do not affect the install set.
+    pub false_alarms: usize,
+}
+
+impl ImpactCounts {
+    /// Share of real vulnerabilities the SBOM-driven scan missed (0 when
+    /// there are none).
+    pub fn miss_rate(&self) -> f64 {
+        share(self.missed, self.actual)
+    }
+
+    /// Share of raised findings that are false alarms (0 when nothing was
+    /// raised).
+    pub fn false_alarm_rate(&self) -> f64 {
+        share(self.false_alarms, self.detected + self.false_alarms)
+    }
+}
+
+impl AddAssign for ImpactCounts {
+    fn add_assign(&mut self, other: ImpactCounts) {
+        self.actual += other.actual;
+        self.detected += other.detected;
+        self.missed += other.missed;
+        self.false_alarms += other.false_alarms;
+    }
+}
+
+fn share(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// An SBOM's components that carry a concrete version, as an install set:
+/// the ground truth when an SBOM stands in for what is installed (the
+/// first document of a `/v1/impact` request without `"truth"`, the
+/// best-practice SBOM in `experiments vuln`).
+pub fn pinned_truth(sbom: &Sbom) -> Vec<ResolvedPackage> {
+    sbom.components()
+        .iter()
+        .filter_map(|c| {
+            let version = Version::parse(c.version.as_deref()?).ok()?;
+            Some(ResolvedPackage::direct(c.name.clone(), version))
+        })
+        .collect()
+}
+
+/// The ecosystem an SBOM is scored in when none is stated: its first
+/// component's, or Python when it has none.
+pub fn inferred_ecosystem(sbom: &Sbom) -> Ecosystem {
+    sbom.components()
+        .first()
+        .map_or(Ecosystem::Python, |c| c.ecosystem)
+}
+
 /// Assesses an SBOM against the advisory database and the true install set.
 ///
 /// The scan matches the way real SCA consumers do: an SBOM entry
 /// contributes findings only when it carries a parseable concrete version
 /// (range text and missing versions cannot match — which is exactly how
 /// §V-D's dropped/verbatim versions turn into missed vulnerabilities).
+/// The truth is read in the SBOM's [inferred ecosystem](inferred_ecosystem).
 pub fn assess(db: &AdvisoryDb, sbom: &Sbom, truth: &[ResolvedPackage]) -> ImpactReport {
-    let eco = sbom_ecosystem(sbom).unwrap_or(sbomdiff_types::Ecosystem::Python);
-    assess_in(db, eco, sbom, truth)
+    assess_in(db, inferred_ecosystem(sbom), sbom, truth)
 }
 
 /// [`assess`] with the ground-truth ecosystem stated explicitly instead of
@@ -91,44 +155,63 @@ pub fn assess(db: &AdvisoryDb, sbom: &Sbom, truth: &[ResolvedPackage]) -> Impact
 /// the right language's install set).
 pub fn assess_in(
     db: &AdvisoryDb,
-    eco: sbomdiff_types::Ecosystem,
+    eco: Ecosystem,
     sbom: &Sbom,
     truth: &[ResolvedPackage],
 ) -> ImpactReport {
-    let mut report = ImpactReport::default();
+    let Ok(report) = scan(eco, sbom, truth, |eco, name| {
+        Ok::<_, Infallible>(db.for_package(eco, name))
+    });
+    report
+}
+
+/// The one impact scan behind [`assess_in`] and
+/// [`assess_cached`](crate::assess_cached). `lookup` answers a package's
+/// advisories, version-independent. It is asked for every truth package
+/// (in `eco`) and then for every SBOM component with a concrete version
+/// (in the component's ecosystem), in that order; the scan stops at the
+/// first error it returns.
+pub(crate) fn scan<S, A, E>(
+    eco: Ecosystem,
+    sbom: &Sbom,
+    truth: &[ResolvedPackage],
+    mut lookup: impl FnMut(Ecosystem, &str) -> Result<S, E>,
+) -> Result<ImpactReport, E>
+where
+    S: AsRef<[A]>,
+    A: Borrow<Advisory>,
+{
     // What is really vulnerable: advisories over the installed set.
+    let mut actual = BTreeSet::new();
     for pkg in truth {
-        for adv in db.matching(eco, &pkg.name, &pkg.version) {
-            report.actual.insert(adv.id.clone());
+        for adv in lookup(eco, &pkg.name)?.as_ref() {
+            let adv = adv.borrow();
+            if adv.affects(&pkg.version) {
+                actual.insert(adv.id.clone());
+            }
         }
     }
     // What an SBOM-driven scan raises.
-    let mut raised: BTreeSet<String> = BTreeSet::new();
+    let mut raised = BTreeSet::new();
     for c in sbom.components() {
         let Some(version) = c.version.as_deref().and_then(|v| Version::parse(v).ok()) else {
             continue; // no concrete version → unmatchable entry
         };
-        for adv in db.matching(c.ecosystem, &c.name, &version) {
-            raised.insert(adv.id.clone());
+        for adv in lookup(c.ecosystem, &c.name)?.as_ref() {
+            let adv = adv.borrow();
+            if adv.affects(&version) {
+                raised.insert(adv.id.clone());
+            }
         }
     }
-    for id in &raised {
-        if report.actual.contains(id) {
-            report.detected.insert(id.clone());
-        } else {
-            report.false_alarms.insert(id.clone());
-        }
-    }
-    for id in &report.actual {
-        if !raised.contains(id) {
-            report.missed.insert(id.clone());
-        }
-    }
-    report
-}
-
-fn sbom_ecosystem(sbom: &Sbom) -> Option<sbomdiff_types::Ecosystem> {
-    sbom.components().first().map(|c| c.ecosystem)
+    let missed = actual.difference(&raised).cloned().collect();
+    let (detected, false_alarms) = raised.into_iter().partition(|id| actual.contains(id));
+    Ok(ImpactReport {
+        actual,
+        detected,
+        missed,
+        false_alarms,
+    })
 }
 
 #[cfg(test)]
@@ -175,7 +258,7 @@ mod tests {
         let report = assess(&db, &sbom, &truth);
         assert_eq!(report.detected.len(), 1);
         assert!(report.missed.is_empty());
-        assert_eq!(report.miss_rate(), 0.0);
+        assert_eq!(report.counts().miss_rate(), 0.0);
     }
 
     #[test]
@@ -188,7 +271,7 @@ mod tests {
         let empty = Sbom::new("t", "1"); // the tool dropped the dependency
         let report = assess(&db, &empty, &truth);
         assert_eq!(report.missed.len(), 1);
-        assert_eq!(report.miss_rate(), 1.0);
+        assert_eq!(report.counts().miss_rate(), 1.0);
     }
 
     #[test]
@@ -228,7 +311,43 @@ mod tests {
         let report = assess(&db, &sbom, &truth);
         assert!(report.actual.is_empty());
         assert_eq!(report.false_alarms.len(), 1);
-        assert!(report.false_alarm_rate() > 0.99);
+        assert!(report.counts().false_alarm_rate() > 0.99);
+    }
+
+    #[test]
+    fn shared_cache_answers_each_database_as_assess_in() {
+        // Two feeds that differ only in numpy's fix version: 1.22.0 is
+        // affected under the 1.25.0 fix and safe under the 1.20.0 fix.
+        let early = AdvisoryDb::from_advisories(vec![advisory("SYN-2023-0001", "numpy", "1.20.0")]);
+        let late = AdvisoryDb::from_advisories(vec![advisory("SYN-2023-0001", "numpy", "1.25.0")]);
+        assert_ne!(early.fingerprint(), late.fingerprint());
+        let truth = vec![ResolvedPackage::direct(
+            "numpy",
+            Version::parse("1.22.0").unwrap(),
+        )];
+        let mut sbom = Sbom::new("t", "1");
+        sbom.push(Component::new(
+            Ecosystem::Python,
+            "numpy",
+            Some("1.22.0".into()),
+        ));
+        let cache = crate::EnrichCache::new();
+        for db in [&early, &late, &early, &late] {
+            let cached =
+                crate::assess_cached(&cache, db, Ecosystem::Python, &sbom, &truth).unwrap();
+            assert_eq!(cached, assess_in(db, Ecosystem::Python, &sbom, &truth));
+        }
+        assert!(assess_in(&early, Ecosystem::Python, &sbom, &truth)
+            .actual
+            .is_empty());
+        assert_eq!(
+            assess_in(&late, Ecosystem::Python, &sbom, &truth)
+                .actual
+                .len(),
+            1
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (6, 2), "one fill per database");
     }
 
     #[test]

@@ -26,5 +26,5 @@ pub mod osv;
 
 pub use advisory::{Advisory, AdvisoryDb, Severity};
 pub use enrich::{assess_cached, EnrichCache};
-pub use impact::{assess, assess_in, ImpactReport};
+pub use impact::{assess, assess_in, inferred_ecosystem, pinned_truth, ImpactCounts, ImpactReport};
 pub use osv::{db_to_osv_json, ingest_osv, OsvEvent, OsvRange, RangeKind};

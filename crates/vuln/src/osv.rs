@@ -95,7 +95,7 @@ impl OsvEvent {
     }
 
     /// The OSV JSON key for this event.
-    fn key(&self) -> &'static str {
+    pub(crate) fn key(&self) -> &'static str {
         match self {
             OsvEvent::Introduced(_) => "introduced",
             OsvEvent::Fixed(_) => "fixed",
@@ -104,7 +104,7 @@ impl OsvEvent {
     }
 
     /// The OSV JSON value for this event (`"0"` for the epoch sentinel).
-    fn value_string(&self) -> String {
+    pub(crate) fn value_string(&self) -> String {
         match self.version() {
             Some(v) => v.to_unprefixed(),
             None => "0".to_string(),

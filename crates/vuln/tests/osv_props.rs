@@ -6,9 +6,11 @@
 //!    declaration order of `events[]` must never change the verdict, and
 //!    the boundary conventions (introduced inclusive, fixed exclusive,
 //!    last_affected inclusive) must hold for arbitrary event versions.
-//! 2. **OSV vs legacy equivalence** — advisories with the single
-//!    half-open-from-zero shape expose a legacy `VersionReq`; the event
-//!    walk and the constraint matcher must agree on every probed version.
+//! 2. **OSV vs legacy equivalence** — an advisory with the single
+//!    half-open-from-zero shape the pre-OSV generator emitted is the
+//!    legacy requirement `<fixed` ([`legacy_req`], this suite's oracle);
+//!    the event walk and the constraint matcher must agree on every probed
+//!    version.
 //! 3. **Pre-release boundaries** — a pre-release version only matches a
 //!    range that itself mentions a pre-release, mirroring the
 //!    `VersionReq` gate, and agreement must survive pre-release event
@@ -21,7 +23,7 @@
 use proptest::prelude::*;
 use sbomdiff_registry::Registries;
 use sbomdiff_types::{ConstraintFlavor, Version, VersionReq};
-use sbomdiff_vuln::{AdvisoryDb, OsvEvent, OsvRange, RangeKind};
+use sbomdiff_vuln::{Advisory, AdvisoryDb, OsvEvent, OsvRange, RangeKind};
 
 /// Release-only versions: 1–3 numeric segments, small enough that
 /// collisions (equal versions, adjacent versions) are common.
@@ -315,9 +317,27 @@ proptest! {
 //
 // Generated universes are the realistic input distribution, so the
 // equivalence is checked there rather than over synthetic strategies:
-// every advisory that exposes a legacy requirement must agree with the
-// event walk on every published version of its package plus the exact
-// boundary versions of its events.
+// every advisory that has a legacy requirement must agree with the event
+// walk on every published version of its package, the exact boundary
+// versions of its events, and a fixed spread of versions from far below
+// to far above any published one.
+
+/// The legacy `VersionReq` equivalent (`<fixed`) of an advisory with the
+/// single half-open-from-zero shape the pre-OSV generator emitted; `None`
+/// for every other shape.
+fn legacy_req(advisory: &Advisory) -> Option<VersionReq> {
+    let [range] = advisory.ranges.as_slice() else {
+        return None;
+    };
+    let [OsvEvent::Introduced(None), OsvEvent::Fixed(fixed)] = range.events.as_slice() else {
+        return None;
+    };
+    VersionReq::parse(
+        &format!("<{}", fixed.to_unprefixed()),
+        ConstraintFlavor::Pep440,
+    )
+    .ok()
+}
 
 #[test]
 fn legacy_req_equivalence_over_generated_universes() {
@@ -330,7 +350,7 @@ fn legacy_req_equivalence_over_generated_universes() {
             for (name, published) in universe.entries() {
                 let normalized = sbomdiff_types::name::normalize(eco, name);
                 for advisory in db.for_package(eco, &normalized) {
-                    let Some(req) = advisory.legacy_req() else {
+                    let Some(req) = legacy_req(advisory) else {
                         continue;
                     };
                     let mut probes: Vec<Version> =
@@ -338,6 +358,10 @@ fn legacy_req_equivalence_over_generated_universes() {
                     for range in &advisory.ranges {
                         probes.extend(range.events.iter().filter_map(|e| e.version().cloned()));
                     }
+                    probes.extend(
+                        ["0.1.0", "1.0.0", "1.19.2", "2.5.0", "9.9.9"]
+                            .map(|v| Version::parse(v).expect("probe version parses")),
+                    );
                     for v in &probes {
                         assert_eq!(
                             advisory.affects(v),
