@@ -3,9 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use sbomdiff_sbomfmt::SbomFormat;
-use sbomdiff_textformats::{json, toml, xml, yaml};
-use sbomdiff_types::{Component, Ecosystem, Purl, Sbom};
+use sbomdiff_sbomfmt::{ingest, SbomFormat};
+use sbomdiff_textformats::{json, toml, xml, yaml, Value};
+use sbomdiff_types::{Component, Cpe, DepScope, Ecosystem, Purl, Sbom};
 
 fn big_json(entries: usize) -> String {
     let mut s = String::from("{\"items\": [");
@@ -111,5 +111,79 @@ fn bench_sbom_documents(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_container_formats, bench_sbom_documents);
+/// A monorepo-sized SBOM: `components` entries over every ecosystem, with
+/// the PURLs, CPEs, scopes, suppliers and source paths tool emulators
+/// attach.
+fn monorepo_sbom(tool: &str, components: usize) -> Sbom {
+    let mut sbom = Sbom::new(tool, "1.0")
+        .with_subject("monorepo")
+        .with_timestamp("2024-06-24T00:00:00Z");
+    for i in 0..components {
+        let eco = Ecosystem::ALL[i % Ecosystem::ALL.len()];
+        let name = match eco {
+            Ecosystem::Java => format!("org.example.g{}:artifact-{i}", i % 40),
+            Ecosystem::Go => format!("github.com/org{}/module-{i}", i % 40),
+            Ecosystem::JavaScript if i % 3 == 0 => format!("@scope{}/pkg-{i}", i % 20),
+            _ => format!("package-{i}"),
+        };
+        let version = format!("{}.{}.{}", i % 5, i % 30, i % 7);
+        let mut c = Component::new(eco, &name, Some(version.clone()))
+            .with_found_in(format!(
+                "services/svc-{}/lockfile-{}",
+                i % 60,
+                eco.purl_type()
+            ))
+            .with_purl(Purl::for_package(eco, &name, Some(&version)));
+        if i % 2 == 0 {
+            c = c.with_cpe(Cpe::for_package(eco, &name, &version));
+        }
+        if i % 3 != 0 {
+            c = c.with_scope([DepScope::Runtime, DepScope::Dev][i % 2]);
+        }
+        if i % 4 == 0 {
+            c = c.with_supplier(format!("{}:{name}", eco.purl_type()));
+        }
+        sbom.push(c);
+    }
+    sbom
+}
+
+/// The per-byte work of one `serve-large` `/v1/diff` request, without a
+/// server: the request envelope that carries two pretty-printed documents,
+/// then each ~1,750-component document through the streaming ingester.
+fn bench_monorepo_documents(c: &mut Criterion) {
+    const COMPONENTS: usize = 1_750;
+    let a = SbomFormat::CycloneDx.serialize(&monorepo_sbom("syft", COMPONENTS));
+    let b = SbomFormat::Spdx.serialize(&monorepo_sbom("trivy", COMPONENTS));
+    let tv = SbomFormat::SpdxTagValue.serialize(&monorepo_sbom("sbom-tool", COMPONENTS));
+    let mut envelope = Value::object();
+    envelope.set("match", Value::from("tiered"));
+    envelope.set("a", Value::from(a.clone()));
+    envelope.set("b", Value::from(b.clone()));
+    let envelope = json::to_string(&envelope);
+
+    let mut group = c.benchmark_group("monorepo_documents");
+    group.throughput(Throughput::Bytes(envelope.len() as u64));
+    group.bench_function("diff_envelope_json_parse", |bench| {
+        bench.iter(|| json::parse(black_box(&envelope)).unwrap())
+    });
+    for (label, text) in [("cyclonedx", &a), ("spdx", &b), ("spdx-tag-value", &tv)] {
+        group.throughput(Throughput::Bytes(text.len() as u64));
+        group.bench_function(format!("{label}_ingest"), |bench| {
+            bench.iter(|| {
+                let out = ingest::ingest_bytes(black_box(text.as_bytes()));
+                assert_eq!(out.sbom.len(), COMPONENTS);
+                out
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_container_formats,
+    bench_sbom_documents,
+    bench_monorepo_documents
+);
 criterion_main!(benches);

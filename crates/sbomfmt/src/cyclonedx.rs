@@ -3,54 +3,69 @@
 use std::hash::Hasher;
 
 use sbomdiff_textformats::{json, Value};
-use sbomdiff_types::{Component, Cpe, Ecosystem, Fnv1a, Purl, Sbom};
+use sbomdiff_types::{Component, Cpe, DepScope, Ecosystem, Fnv1a, Purl, Sbom, Symbol};
 
 pub(crate) const PROP_ECOSYSTEM: &str = "sbomdiff:ecosystem";
 pub(crate) const PROP_FOUND_IN: &str = "sbomdiff:found_in";
 pub(crate) const PROP_DEP_SCOPE: &str = "sbomdiff:dependency_scope";
 
-/// Raw string fields of one CycloneDX component entry, before semantic
-/// conversion; the ingester materializes each entry through
-/// [`RawCdxComponent::into_component`].
+/// One CycloneDX component entry as the ingester reads it, field by field,
+/// before [`RawCdxComponent::into_component`] settles its ecosystem. Each
+/// field is converted straight from the token text, so nothing is copied
+/// that the component does not keep.
 #[derive(Debug, Default)]
 pub(crate) struct RawCdxComponent {
-    pub(crate) name: Option<String>,
-    pub(crate) version: Option<String>,
-    pub(crate) purl: Option<String>,
-    pub(crate) cpe: Option<String>,
-    pub(crate) publisher: Option<String>,
-    /// `properties` entries with string name *and* value, document order.
-    pub(crate) properties: Vec<(String, String)>,
+    pub(crate) name: Option<Symbol>,
+    pub(crate) version: Option<Symbol>,
+    /// `purl`, when it parses.
+    pub(crate) purl: Option<Purl>,
+    /// `cpe`, when it parses.
+    pub(crate) cpe: Option<Cpe>,
+    /// `publisher`, when not empty.
+    pub(crate) supplier: Option<Symbol>,
+    /// The first ecosystem property that parses.
+    ecosystem: Option<Ecosystem>,
+    /// The last found-in property.
+    found_in: Option<Symbol>,
+    /// The last scope property (`None` for an unknown label).
+    scope: Option<DepScope>,
 }
 
+/// The component properties [`RawCdxComponent::property`] reads.
+pub(crate) const PROPERTIES: [&str; 3] = [PROP_ECOSYSTEM, PROP_FOUND_IN, PROP_DEP_SCOPE];
+
 impl RawCdxComponent {
-    /// Converts raw fields into a [`Component`] (`None`: no name, entry is
+    /// Applies one `properties` entry whose name and value are strings, in
+    /// document order.
+    pub(crate) fn property(&mut self, name: &str, value: &str) {
+        match name {
+            PROP_ECOSYSTEM => self.ecosystem = self.ecosystem.or_else(|| value.parse().ok()),
+            PROP_FOUND_IN => self.found_in = Some(Symbol::from(value)),
+            PROP_DEP_SCOPE => self.scope = crate::scope_from_label(value),
+            _ => {}
+        }
+    }
+
+    /// Converts the entry into a [`Component`] (`None`: no name, entry is
     /// skipped). Field semantics: PURL-derived ecosystem wins over the
     /// ecosystem property; for the other properties the last occurrence
     /// wins; unparseable PURL/CPE/scope values degrade to absent.
     pub(crate) fn into_component(self) -> Option<Component> {
-        let name = self.name?;
-        let purl = self.purl.and_then(|p| p.parse::<Purl>().ok());
-        let cpe = self.cpe.and_then(|c| c.parse::<Cpe>().ok());
-        let mut ecosystem = purl
+        let ecosystem = self
+            .purl
             .as_ref()
-            .and_then(|p| p.ptype().parse::<Ecosystem>().ok());
-        let mut found_in = String::new();
-        let mut scope = None;
-        for (pname, pvalue) in &self.properties {
-            match pname.as_str() {
-                PROP_ECOSYSTEM => ecosystem = ecosystem.or_else(|| pvalue.parse().ok()),
-                PROP_FOUND_IN => found_in = pvalue.clone(),
-                PROP_DEP_SCOPE => scope = crate::scope_from_label(pvalue),
-                _ => {}
-            }
-        }
-        let mut c = Component::new(ecosystem.unwrap_or(Ecosystem::Python), name, self.version)
-            .with_found_in(found_in);
-        c.purl = purl;
-        c.cpe = cpe;
-        c.scope = scope;
-        c.supplier = self.publisher.filter(|p| !p.is_empty()).map(Into::into);
+            .and_then(|p| p.ptype().parse::<Ecosystem>().ok())
+            .or(self.ecosystem);
+        let mut c = Component::interned(
+            ecosystem.unwrap_or(Ecosystem::Python),
+            self.name?,
+            self.version,
+        )
+        .with_found_in(self.found_in.unwrap_or_default());
+        c.purl = self.purl;
+        c.cpe = self.cpe;
+        c.scope = self.scope;
+        c.supplier = self.supplier;
         Some(c)
     }
 }
@@ -177,7 +192,6 @@ fn deterministic_uuid(tool: &str, subject: &str) -> String {
 mod tests {
     use super::*;
     use crate::SbomFormat;
-    use sbomdiff_types::DepScope;
 
     fn sample() -> Sbom {
         let mut sbom = Sbom::new("syft", "0.84.1")

@@ -28,14 +28,14 @@
 
 use std::io::Read;
 
-use crate::cyclonedx::RawCdxComponent;
+use crate::cyclonedx::{RawCdxComponent, PROPERTIES};
 use crate::spdx::{creator_tool, subject_from_doc_name, RawSpdxPackage};
 use crate::{tagvalue, SbomFormat};
 use sbomdiff_faultline as fault;
 use sbomdiff_textformats::stream::{
-    ChunkSource, JsonEvent, JsonStream, LineReader, StreamError, StreamErrorKind, DEFAULT_CHUNK,
+    ChunkSource, JsonStream, JsonToken, LineReader, StreamError, StreamErrorKind, DEFAULT_CHUNK,
 };
-use sbomdiff_types::{Component, DiagClass, Diagnostic, Sbom, Severity};
+use sbomdiff_types::{Component, DiagClass, Diagnostic, Sbom, Severity, Symbol};
 
 /// CycloneDX spec versions the ingester fully models.
 const SUPPORTED_CDX: &[&str] = &["1.4", "1.5"];
@@ -203,6 +203,17 @@ struct DocFields {
     subject: Option<String>,
     /// CycloneDX `metadata.timestamp` or SPDX `creationInfo.created`.
     timestamp: Option<String>,
+    /// CycloneDX `components` and `dependsOn` entries.
+    cdx: Entries,
+    /// SPDX `packages` and `relationships` entries.
+    spdx: Entries,
+}
+
+/// One dialect's materialized components and dependency-edge count. A
+/// document may carry both dialects' keys; only the detected dialect's
+/// entries are kept.
+#[derive(Debug, Default)]
+struct Entries {
     components: Vec<Component>,
     dependency_edges: u64,
 }
@@ -216,19 +227,19 @@ fn ingest_json<R: Read>(
     let result = parse_top(&mut js, &mut fields, &mut out.stats, progress);
     out.stats.bytes_read = js.bytes_read();
     out.stats.peak_buffered = js.peak_buffered();
-    out.stats.dependency_edges = fields.dependency_edges;
-    out.stats.components = fields.components.len();
+    // Until a dialect is kept, the counts cover both dialects' entries.
+    out.stats.dependency_edges = fields.cdx.dependency_edges + fields.spdx.dependency_edges;
     if let Err(e) = result {
         out.fatal = Some(classify_fatal(&e));
         return out;
     }
-    let (format, mut sbom, version) = if fields.bom_format.as_deref() == Some("CycloneDX") {
+    let (format, mut sbom, version, kept) = if fields.bom_format.as_deref() == Some("CycloneDX") {
         let sbom = Sbom::new(
             fields.tool_name.unwrap_or_else(|| "unknown".to_string()),
             fields.tool_version.unwrap_or_default(),
         )
         .with_subject(fields.subject.unwrap_or_default());
-        (SbomFormat::CycloneDx, sbom, fields.spec_version)
+        (SbomFormat::CycloneDx, sbom, fields.spec_version, fields.cdx)
     } else if fields
         .spdx_version
         .as_deref()
@@ -237,7 +248,7 @@ fn ingest_json<R: Read>(
         let (tool_name, tool_version) = creator_tool(fields.creator.as_deref().unwrap_or(""));
         let subject = subject_from_doc_name(fields.doc_name.as_deref().unwrap_or(""), &tool_name);
         let sbom = Sbom::new(tool_name, tool_version).with_subject(subject);
-        (SbomFormat::Spdx, sbom, fields.spdx_version)
+        (SbomFormat::Spdx, sbom, fields.spdx_version, fields.spdx)
     } else {
         out.fatal = Some(Diagnostic::new(
             DiagClass::MalformedFile,
@@ -249,7 +260,9 @@ fn ingest_json<R: Read>(
     if let Some(warning) = spec_warning(format, version.as_deref()) {
         sbom.push_diagnostic(warning);
     }
-    for c in fields.components {
+    out.stats.components = kept.components.len();
+    out.stats.dependency_edges = kept.dependency_edges;
+    for c in kept.components {
         sbom.push(c);
     }
     out.format = Some(format);
@@ -279,11 +292,11 @@ fn spec_warning(format: SbomFormat, version: Option<&str>) -> Option<Diagnostic>
     )
 }
 
-/// The next event, turning a clean end-of-document into a truncation error
+/// The next token, turning a clean end-of-document into a truncation error
 /// (callers here are always inside a structure they expect to finish).
-fn must_event<R: Read>(js: &mut JsonStream<R>) -> Result<JsonEvent, StreamError> {
-    match js.next_event()? {
-        Some(ev) => Ok(ev),
+fn must_token<R: Read>(js: &mut JsonStream<R>) -> Result<JsonToken, StreamError> {
+    match js.next_token()? {
+        Some(token) => Ok(token),
         None => Err(StreamError::new(
             StreamErrorKind::UnexpectedEof,
             js.line(),
@@ -293,16 +306,16 @@ fn must_event<R: Read>(js: &mut JsonStream<R>) -> Result<JsonEvent, StreamError>
     }
 }
 
-/// Skips the remainder of a value whose first event was `ev`.
-fn skip_rest_of<R: Read>(js: &mut JsonStream<R>, ev: &JsonEvent) -> Result<(), StreamError> {
-    if !matches!(ev, JsonEvent::ObjectStart | JsonEvent::ArrayStart) {
+/// Skips the remainder of a value whose first token was `token`.
+fn skip_rest_of<R: Read>(js: &mut JsonStream<R>, token: JsonToken) -> Result<(), StreamError> {
+    if !matches!(token, JsonToken::ObjectStart | JsonToken::ArrayStart) {
         return Ok(());
     }
     let mut depth = 1usize;
     while depth > 0 {
-        match must_event(js)? {
-            JsonEvent::ObjectStart | JsonEvent::ArrayStart => depth += 1,
-            JsonEvent::ObjectEnd | JsonEvent::ArrayEnd => depth -= 1,
+        match must_token(js)? {
+            JsonToken::ObjectStart | JsonToken::ArrayStart => depth += 1,
+            JsonToken::ObjectEnd | JsonToken::ArrayEnd => depth -= 1,
             _ => {}
         }
     }
@@ -311,16 +324,20 @@ fn skip_rest_of<R: Read>(js: &mut JsonStream<R>, ev: &JsonEvent) -> Result<(), S
 
 /// Skips one whole value.
 fn skip_value<R: Read>(js: &mut JsonStream<R>) -> Result<(), StreamError> {
-    let ev = must_event(js)?;
-    skip_rest_of(js, &ev)
+    let token = must_token(js)?;
+    skip_rest_of(js, token)
 }
 
-/// Reads one value, keeping it only when it is a string.
-fn str_value<R: Read>(js: &mut JsonStream<R>) -> Result<Option<String>, StreamError> {
-    match must_event(js)? {
-        JsonEvent::Str(s) => Ok(Some(s)),
-        ev => {
-            skip_rest_of(js, &ev)?;
+/// Reads one value: `read` gets its text when it is a string, and anything
+/// else is skipped. Only what `read` keeps of the text is copied.
+fn text_value<R: Read, T>(
+    js: &mut JsonStream<R>,
+    read: impl FnOnce(&str) -> T,
+) -> Result<Option<T>, StreamError> {
+    match must_token(js)? {
+        JsonToken::Str => Ok(Some(read(js.text()))),
+        token => {
+            skip_rest_of(js, token)?;
             Ok(None)
         }
     }
@@ -348,15 +365,15 @@ fn walk_object<'k, R: Read>(
     debug_assert!(keys.len() <= 32);
     let mut seen = 0u32;
     loop {
-        match must_event(js)? {
-            JsonEvent::Key(k) => match keys.iter().position(|&want| want == k) {
+        match must_token(js)? {
+            JsonToken::Key => match keys.iter().position(|&want| want == js.text()) {
                 Some(i) if seen & (1 << i) == 0 => {
                     seen |= 1 << i;
                     visit(js, keys[i])?;
                 }
                 _ => skip_value(js)?,
             },
-            JsonEvent::ObjectEnd => return Ok(()),
+            JsonToken::ObjectEnd => return Ok(()),
             _ => return Err(unexpected(js)),
         }
     }
@@ -369,28 +386,28 @@ fn object_value<'k, R: Read>(
     keys: &[&'k str],
     visit: impl FnMut(&mut JsonStream<R>, &'k str) -> Result<(), StreamError>,
 ) -> Result<(), StreamError> {
-    match must_event(js)? {
-        JsonEvent::ObjectStart => walk_object(js, keys, visit),
-        ev => skip_rest_of(js, &ev),
+    match must_token(js)? {
+        JsonToken::ObjectStart => walk_object(js, keys, visit),
+        token => skip_rest_of(js, token),
     }
 }
 
-/// Consumes a value whose first event was `first`. For an array, `element`
-/// gets each element's index and first event and must consume the rest of
+/// Consumes a value whose first token was `first`. For an array, `element`
+/// gets each element's index and first token and must consume the rest of
 /// the element; any other value is skipped.
 fn array_items<R: Read>(
     js: &mut JsonStream<R>,
-    first: JsonEvent,
-    mut element: impl FnMut(&mut JsonStream<R>, usize, JsonEvent) -> Result<(), StreamError>,
+    first: JsonToken,
+    mut element: impl FnMut(&mut JsonStream<R>, usize, JsonToken) -> Result<(), StreamError>,
 ) -> Result<(), StreamError> {
-    if first != JsonEvent::ArrayStart {
-        return skip_rest_of(js, &first);
+    if first != JsonToken::ArrayStart {
+        return skip_rest_of(js, first);
     }
     let mut idx = 0;
     loop {
-        match must_event(js)? {
-            JsonEvent::ArrayEnd => return Ok(()),
-            ev => element(js, idx, ev)?,
+        match must_token(js)? {
+            JsonToken::ArrayEnd => return Ok(()),
+            token => element(js, idx, token)?,
         }
         idx += 1;
     }
@@ -403,10 +420,10 @@ fn each_object<R: Read>(
     js: &mut JsonStream<R>,
     mut object: impl FnMut(&mut JsonStream<R>) -> Result<(), StreamError>,
 ) -> Result<(), StreamError> {
-    let first = must_event(js)?;
-    array_items(js, first, |js, _, ev| match ev {
-        JsonEvent::ObjectStart => object(js),
-        ev => skip_rest_of(js, &ev),
+    let first = must_token(js)?;
+    array_items(js, first, |js, _, token| match token {
+        JsonToken::ObjectStart => object(js),
+        token => skip_rest_of(js, token),
     })
 }
 
@@ -416,7 +433,7 @@ fn parse_top<R: Read>(
     stats: &mut IngestStats,
     progress: &mut dyn FnMut(&IngestStats),
 ) -> Result<(), StreamError> {
-    if js.next_event()? != Some(JsonEvent::ObjectStart) {
+    if js.next_token()? != Some(JsonToken::ObjectStart) {
         // The sniffer saw `{`, so anything else is tokenizer-level.
         return Err(unexpected(js));
     }
@@ -434,20 +451,20 @@ fn parse_top<R: Read>(
     ];
     walk_object(js, KEYS, |js, key| {
         match key {
-            "bomFormat" => fields.bom_format = str_value(js)?,
-            "specVersion" => fields.spec_version = str_value(js)?,
-            "spdxVersion" => fields.spdx_version = str_value(js)?,
-            "name" => fields.doc_name = str_value(js)?,
+            "bomFormat" => fields.bom_format = text_value(js, str::to_owned)?,
+            "specVersion" => fields.spec_version = text_value(js, str::to_owned)?,
+            "spdxVersion" => fields.spdx_version = text_value(js, str::to_owned)?,
+            "name" => fields.doc_name = text_value(js, str::to_owned)?,
             "metadata" => parse_metadata(js, fields)?,
             "creationInfo" => parse_creation_info(js, fields)?,
-            "components" => parse_cdx_components(js, fields, stats, progress)?,
-            "packages" => parse_spdx_packages(js, fields, stats, progress)?,
-            "dependencies" => parse_cdx_dependencies(js, fields)?,
+            "components" => parse_cdx_components(js, &mut fields.cdx, stats, progress)?,
+            "packages" => parse_spdx_packages(js, &mut fields.spdx, stats, progress)?,
+            "dependencies" => parse_cdx_dependencies(js, &mut fields.cdx)?,
             "relationships" => {
-                let first = must_event(js)?;
-                array_items(js, first, |js, _, ev| {
-                    fields.dependency_edges += 1;
-                    skip_rest_of(js, &ev)
+                let first = must_token(js)?;
+                array_items(js, first, |js, _, token| {
+                    fields.spdx.dependency_edges += 1;
+                    skip_rest_of(js, token)
                 })?
             }
             _ => skip_value(js)?,
@@ -456,7 +473,7 @@ fn parse_top<R: Read>(
     })?;
     // Drain: a clean document yields `None`; trailing bytes are a syntax
     // error the tokenizer raises itself.
-    js.next_event()?;
+    js.next_token()?;
     Ok(())
 }
 
@@ -470,10 +487,10 @@ fn parse_metadata<R: Read>(
         match key {
             "tools" => parse_tools(js, fields)?,
             "component" => object_value(js, &["name"], |js, _| {
-                fields.subject = str_value(js)?;
+                fields.subject = text_value(js, str::to_owned)?;
                 Ok(())
             })?,
-            "timestamp" => fields.timestamp = str_value(js)?,
+            "timestamp" => fields.timestamp = text_value(js, str::to_owned)?,
             _ => skip_value(js)?,
         }
         Ok(())
@@ -484,9 +501,9 @@ fn parse_metadata<R: Read>(
 /// holding a `components` array (1.5). Only the first entry's name/version
 /// are used.
 fn parse_tools<R: Read>(js: &mut JsonStream<R>, fields: &mut DocFields) -> Result<(), StreamError> {
-    match must_event(js)? {
-        JsonEvent::ObjectStart => walk_object(js, &["components"], |js, _| {
-            let first = must_event(js)?;
+    match must_token(js)? {
+        JsonToken::ObjectStart => walk_object(js, &["components"], |js, _| {
+            let first = must_token(js)?;
             parse_tool_entries(js, first, fields)
         }),
         first => parse_tool_entries(js, first, fields),
@@ -497,19 +514,19 @@ fn parse_tools<R: Read>(js: &mut JsonStream<R>, fields: &mut DocFields) -> Resul
 /// skipped.
 fn parse_tool_entries<R: Read>(
     js: &mut JsonStream<R>,
-    first: JsonEvent,
+    first: JsonToken,
     fields: &mut DocFields,
 ) -> Result<(), StreamError> {
-    array_items(js, first, |js, idx, ev| match ev {
-        JsonEvent::ObjectStart if idx == 0 => walk_object(js, &["name", "version"], |js, key| {
+    array_items(js, first, |js, idx, token| match token {
+        JsonToken::ObjectStart if idx == 0 => walk_object(js, &["name", "version"], |js, key| {
             match key {
-                "name" => fields.tool_name = str_value(js)?,
-                "version" => fields.tool_version = str_value(js)?,
+                "name" => fields.tool_name = text_value(js, str::to_owned)?,
+                "version" => fields.tool_version = text_value(js, str::to_owned)?,
                 _ => skip_value(js)?,
             }
             Ok(())
         }),
-        ev => skip_rest_of(js, &ev),
+        token => skip_rest_of(js, token),
     })
 }
 
@@ -520,15 +537,15 @@ fn parse_creation_info<R: Read>(
 ) -> Result<(), StreamError> {
     object_value(js, &["created", "creators"], |js, key| {
         match key {
-            "created" => fields.timestamp = str_value(js)?,
+            "created" => fields.timestamp = text_value(js, str::to_owned)?,
             "creators" => {
-                let first = must_event(js)?;
-                array_items(js, first, |js, idx, ev| match ev {
-                    JsonEvent::Str(s) if idx == 0 => {
-                        fields.creator = Some(s);
+                let first = must_token(js)?;
+                array_items(js, first, |js, idx, token| match token {
+                    JsonToken::Str if idx == 0 => {
+                        fields.creator = Some(js.text().to_owned());
                         Ok(())
                     }
-                    ev => skip_rest_of(js, &ev),
+                    token => skip_rest_of(js, token),
                 })?
             }
             _ => skip_value(js)?,
@@ -537,17 +554,18 @@ fn parse_creation_info<R: Read>(
     })
 }
 
-/// Adds a materialized component and reports progress.
+/// Adds a materialized component to `entries` and reports progress
+/// (`stats.components` counts both dialects' entries until the end).
 fn record_component<R: Read>(
     js: &JsonStream<R>,
     component: Option<Component>,
-    fields: &mut DocFields,
+    entries: &mut Entries,
     stats: &mut IngestStats,
     progress: &mut dyn FnMut(&IngestStats),
 ) {
     if let Some(c) = component {
-        fields.components.push(c);
-        stats.components = fields.components.len();
+        entries.components.push(c);
+        stats.components += 1;
         stats.bytes_read = js.bytes_read();
         stats.peak_buffered = js.peak_buffered();
         progress(stats);
@@ -558,48 +576,58 @@ fn record_component<R: Read>(
 /// [`RawCdxComponent`] as it completes.
 fn parse_cdx_components<R: Read>(
     js: &mut JsonStream<R>,
-    fields: &mut DocFields,
+    cdx: &mut Entries,
     stats: &mut IngestStats,
     progress: &mut dyn FnMut(&IngestStats),
 ) -> Result<(), StreamError> {
     const KEYS: &[&str] = &["name", "version", "purl", "cpe", "publisher", "properties"];
+    // One buffer for every property value (see `parse_cdx_properties`).
+    let mut value = String::new();
     each_object(js, |js| {
         let mut raw = RawCdxComponent::default();
         walk_object(js, KEYS, |js, key| {
             match key {
-                "name" => raw.name = str_value(js)?,
-                "version" => raw.version = str_value(js)?,
-                "purl" => raw.purl = str_value(js)?,
-                "cpe" => raw.cpe = str_value(js)?,
-                "publisher" => raw.publisher = str_value(js)?,
-                "properties" => parse_cdx_properties(js, &mut raw.properties)?,
+                "name" => raw.name = text_value(js, |t| Symbol::from(t))?,
+                "version" => raw.version = text_value(js, |t| Symbol::from(t))?,
+                "purl" => raw.purl = text_value(js, |t| t.parse().ok())?.flatten(),
+                "cpe" => raw.cpe = text_value(js, |t| t.parse().ok())?.flatten(),
+                "publisher" => {
+                    let supplier = |t: &str| (!t.is_empty()).then(|| Symbol::from(t));
+                    raw.supplier = text_value(js, supplier)?.flatten();
+                }
+                "properties" => parse_cdx_properties(js, &mut raw, &mut value)?,
                 _ => skip_value(js)?,
             }
             Ok(())
         })?;
-        record_component(js, raw.into_component(), fields, stats, progress);
+        record_component(js, raw.into_component(), cdx, stats, progress);
         Ok(())
     })
 }
 
-/// A CycloneDX component's `properties` array: entries where both `name`
-/// and `value` are strings, in document order.
+/// A CycloneDX component's `properties` array: each entry whose `name` and
+/// `value` are strings goes to [`RawCdxComponent::property`], in document
+/// order. Only names it reads are kept, and values pass through `value`,
+/// one buffer reused for every entry.
 fn parse_cdx_properties<R: Read>(
     js: &mut JsonStream<R>,
-    properties: &mut Vec<(String, String)>,
+    raw: &mut RawCdxComponent,
+    value: &mut String,
 ) -> Result<(), StreamError> {
     each_object(js, |js| {
-        let (mut name, mut value) = (None, None);
+        let (mut name, mut has_value) = (None, false);
         walk_object(js, &["name", "value"], |js, key| {
-            match key {
-                "name" => name = str_value(js)?,
-                "value" => value = str_value(js)?,
-                _ => skip_value(js)?,
+            if key == "name" {
+                let known = |t: &str| PROPERTIES.iter().find(|&&p| p == t).copied();
+                name = text_value(js, known)?.flatten();
+            } else {
+                value.clear();
+                has_value = text_value(js, |t| value.push_str(t))?.is_some();
             }
             Ok(())
         })?;
-        if let (Some(n), Some(v)) = (name, value) {
-            properties.push((n, v));
+        if let (Some(name), true) = (name, has_value) {
+            raw.property(name, value);
         }
         Ok(())
     })
@@ -608,7 +636,7 @@ fn parse_cdx_properties<R: Read>(
 /// SPDX `packages`: materialize each entry through [`RawSpdxPackage`].
 fn parse_spdx_packages<R: Read>(
     js: &mut JsonStream<R>,
-    fields: &mut DocFields,
+    spdx: &mut Entries,
     stats: &mut IngestStats,
     progress: &mut dyn FnMut(&IngestStats),
 ) -> Result<(), StreamError> {
@@ -619,42 +647,55 @@ fn parse_spdx_packages<R: Read>(
         "supplier",
         "externalRefs",
     ];
+    // One buffer for every reference locator (see `parse_spdx_refs`).
+    let mut locator = String::new();
     each_object(js, |js| {
         let mut raw = RawSpdxPackage::default();
         walk_object(js, KEYS, |js, key| {
             match key {
-                "name" => raw.name = str_value(js)?,
-                "versionInfo" => raw.version = str_value(js)?,
-                "sourceInfo" => raw.source_info = str_value(js)?,
-                "supplier" => raw.supplier = str_value(js)?,
-                "externalRefs" => parse_spdx_refs(js, &mut raw.refs)?,
+                "name" => raw.name = text_value(js, |t| Symbol::from(t))?,
+                "versionInfo" => raw.version = text_value(js, |t| Symbol::from(t))?,
+                "sourceInfo" => {
+                    text_value(js, |t| raw.source_info(t))?;
+                }
+                "supplier" => {
+                    text_value(js, |t| raw.supplier(t))?;
+                }
+                "externalRefs" => parse_spdx_refs(js, &mut raw, &mut locator)?,
                 _ => skip_value(js)?,
             }
             Ok(())
         })?;
-        record_component(js, raw.into_component(), fields, stats, progress);
+        record_component(js, raw.into_component(), spdx, stats, progress);
         Ok(())
     })
 }
 
-/// An SPDX package's `externalRefs` array: `(referenceType,
-/// referenceLocator)` of each entry with a string type.
+/// An SPDX package's `externalRefs` array: each entry whose
+/// `referenceType` is a type the package reads goes to
+/// [`RawSpdxPackage::external_ref`] with its `referenceLocator`, in
+/// document order. Locators pass through `locator`, one buffer reused for
+/// every entry.
 fn parse_spdx_refs<R: Read>(
     js: &mut JsonStream<R>,
-    refs: &mut Vec<(String, Option<String>)>,
+    raw: &mut RawSpdxPackage,
+    locator: &mut String,
 ) -> Result<(), StreamError> {
     each_object(js, |js| {
-        let (mut rtype, mut locator) = (None, None);
+        let (mut rtype, mut has_locator) = (None, false);
         walk_object(js, &["referenceType", "referenceLocator"], |js, key| {
-            match key {
-                "referenceType" => rtype = str_value(js)?,
-                "referenceLocator" => locator = str_value(js)?,
-                _ => skip_value(js)?,
+            if key == "referenceType" {
+                // Other types leave the package as it is.
+                let known = |t: &str| ["purl", "cpe23Type"].into_iter().find(|&k| k == t);
+                rtype = text_value(js, known)?.flatten();
+            } else {
+                locator.clear();
+                has_locator = text_value(js, |t| locator.push_str(t))?.is_some();
             }
             Ok(())
         })?;
-        if let Some(t) = rtype {
-            refs.push((t, locator));
+        if let Some(rtype) = rtype {
+            raw.external_ref(rtype, has_locator.then_some(locator.as_str()));
         }
         Ok(())
     })
@@ -664,17 +705,17 @@ fn parse_spdx_refs<R: Read>(
 /// graph (an ingest statistic; the flat component model carries no edges).
 fn parse_cdx_dependencies<R: Read>(
     js: &mut JsonStream<R>,
-    fields: &mut DocFields,
+    cdx: &mut Entries,
 ) -> Result<(), StreamError> {
     each_object(js, |js| {
         walk_object(js, &["dependsOn"], |js, _| {
-            let first = must_event(js)?;
-            array_items(js, first, |js, _, ev| match ev {
-                JsonEvent::Str(_) => {
-                    fields.dependency_edges += 1;
+            let first = must_token(js)?;
+            array_items(js, first, |js, _, token| match token {
+                JsonToken::Str => {
+                    cdx.dependency_edges += 1;
                     Ok(())
                 }
-                ev => skip_rest_of(js, &ev),
+                token => skip_rest_of(js, token),
             })
         })
     })
@@ -695,7 +736,7 @@ fn ingest_tag_value<R: Read>(
             Ok(Some(line)) => {
                 lines += 1;
                 let starts_package = line.trim_start().starts_with("PackageName:");
-                if let Err(e) = builder.line(&line) {
+                if let Err(e) = builder.line(line) {
                     out.stats.bytes_read = lr.bytes_read();
                     out.stats.peak_buffered = lr.peak_buffered();
                     out.fatal = Some(
@@ -981,6 +1022,51 @@ mod tests {
         let tv = SbomFormat::SpdxTagValue.serialize(&s);
         let out = ingest_bytes(tv.as_bytes());
         assert_eq!(out.stats.dependency_edges, 2);
+    }
+
+    #[test]
+    fn mixed_dialect_documents_keep_only_the_detected_entries() {
+        let names = |out: &IngestOutcome| -> Vec<String> {
+            let comps = out.sbom.components().iter();
+            comps.map(|c| c.name.to_string()).collect()
+        };
+        let cases = [
+            (
+                r#"{"bomFormat":"CycloneDX","specVersion":"1.5","components":[{"name":"a"}],"packages":[{"name":"stray"}]}"#,
+                SbomFormat::CycloneDx,
+                "a",
+                0,
+            ),
+            // The marker may come after both lists.
+            (
+                r#"{"packages":[{"name":"stray"}],"components":[{"name":"a"}],
+                    "relationships":[1,2,3],"dependencies":[{"ref":"a","dependsOn":["b"]}],
+                    "bomFormat":"CycloneDX"}"#,
+                SbomFormat::CycloneDx,
+                "a",
+                1,
+            ),
+            (
+                r#"{"spdxVersion":"SPDX-2.3","components":[{"name":"stray"}],"packages":[{"name":"p"}],
+                    "dependencies":[{"ref":"p","dependsOn":["x","y"]}],"relationships":[{}]}"#,
+                SbomFormat::Spdx,
+                "p",
+                1,
+            ),
+        ];
+        for (text, format, kept, edges) in cases {
+            let mut seen = 0;
+            let out = ingest_reader(text.as_bytes(), IngestOptions::default(), &mut |st| {
+                seen = st.components
+            });
+            assert!(out.fatal.is_none(), "{text}: {:?}", out.fatal);
+            assert_eq!(out.format, Some(format), "{text}");
+            assert_eq!(names(&out), [kept], "{text}");
+            assert_eq!(out.stats.components, 1, "{text}");
+            assert_eq!(out.stats.dependency_edges, edges, "{text}");
+            // Progress counted both lists while the dialect was open.
+            assert_eq!(seen, 2, "{text}");
+        }
     }
 
     #[test]

@@ -1,81 +1,101 @@
 //! SPDX 2.3 JSON serialization; [`crate::ingest`] reads it back.
 
 use sbomdiff_textformats::{json, Value};
-use sbomdiff_types::{Component, Cpe, Ecosystem, Purl, Sbom};
+use sbomdiff_types::{Component, Cpe, DepScope, Ecosystem, Purl, Sbom, Symbol};
 
-/// Raw string fields of one SPDX package entry, before semantic
-/// conversion. The ingester materializes SPDX JSON packages and the
-/// tag-value [`Builder`](crate::tagvalue::Builder) its packages through
-/// [`RawSpdxPackage::into_component`], so the two SPDX forms cannot drift
-/// apart.
+/// One SPDX package as a reader sees it, field by field, before
+/// [`RawSpdxPackage::into_component`] settles its ecosystem. The ingester
+/// fills it from SPDX JSON packages and the tag-value
+/// [`Builder`](crate::tagvalue::Builder) from its package lines, so the two
+/// SPDX forms cannot drift apart. Each field is converted straight from
+/// the text it is read from.
 #[derive(Debug, Default)]
 pub(crate) struct RawSpdxPackage {
-    pub(crate) name: Option<String>,
-    pub(crate) version: Option<String>,
-    pub(crate) source_info: Option<String>,
-    /// Raw SPDX `supplier` value, e.g. `"Organization: pypi"`.
-    pub(crate) supplier: Option<String>,
-    /// `(referenceType, referenceLocator)` of each `externalRefs` entry
-    /// with a string type, in document order (locator may be absent).
-    pub(crate) refs: Vec<(String, Option<String>)>,
+    pub(crate) name: Option<Symbol>,
+    pub(crate) version: Option<Symbol>,
+    purl: Option<Purl>,
+    cpe: Option<Cpe>,
+    supplier: Option<Symbol>,
+    // What `sourceInfo` (`ecosystem: ...; found_in: ...; scope: ...`)
+    // names: its first ecosystem that parses, its last `found_in`, its
+    // last scope (`None` for an unknown label).
+    ecosystem: Option<Ecosystem>,
+    found_in: Option<Symbol>,
+    scope: Option<DepScope>,
 }
 
 /// Normalizes an SPDX `supplier` value to the bare supplier name:
 /// strips the `Organization:` / `Person:` prefix and treats empty or
 /// `NOASSERTION` values as absent.
-pub(crate) fn supplier_name(raw: &str) -> Option<String> {
+pub(crate) fn supplier_name(raw: &str) -> Option<&str> {
     let v = raw.trim();
     let v = v
         .strip_prefix("Organization:")
         .or_else(|| v.strip_prefix("Person:"))
         .unwrap_or(v)
         .trim();
-    (!v.is_empty() && v != "NOASSERTION").then(|| v.to_string())
+    (!v.is_empty() && v != "NOASSERTION").then_some(v)
 }
 
 impl RawSpdxPackage {
-    /// Converts raw fields into a [`Component`] (`None`: no name, entry is
-    /// skipped). For repeated refs of one type the last occurrence wins;
-    /// `sourceInfo` carries the structured `ecosystem`/`found_in`/`scope`
-    /// annotation; PURL-derived ecosystem wins over the annotation.
+    /// A package with only its name read.
+    pub(crate) fn named(name: &str) -> Self {
+        RawSpdxPackage {
+            name: Some(Symbol::from(name)),
+            ..RawSpdxPackage::default()
+        }
+    }
+
+    /// Reads a `sourceInfo` value, replacing what an earlier one set.
+    pub(crate) fn source_info(&mut self, info: &str) {
+        (self.ecosystem, self.found_in, self.scope) = (None, None, None);
+        for part in info.split(';') {
+            let part = part.trim();
+            if let Some(v) = part.strip_prefix("ecosystem:") {
+                self.ecosystem = self.ecosystem.or_else(|| v.trim().parse().ok());
+            } else if let Some(v) = part.strip_prefix("found_in:") {
+                self.found_in = Some(Symbol::from(v.trim()));
+            } else if let Some(v) = part.strip_prefix("scope:") {
+                self.scope = crate::scope_from_label(v.trim());
+            }
+        }
+    }
+
+    /// Reads a `supplier` value, replacing an earlier one.
+    pub(crate) fn supplier(&mut self, raw: &str) {
+        self.supplier = supplier_name(raw).map(Symbol::from);
+    }
+
+    /// Reads one external reference in document order: the last `purl`
+    /// and the last `cpe23Type` reference win, and one without a locator
+    /// or with one that does not parse leaves that field absent.
+    pub(crate) fn external_ref(&mut self, rtype: &str, locator: Option<&str>) {
+        match rtype {
+            "purl" => self.purl = locator.and_then(|l| l.parse().ok()),
+            "cpe23Type" => self.cpe = locator.and_then(|l| l.parse().ok()),
+            _ => {}
+        }
+    }
+
+    /// Converts the package into a [`Component`] (`None`: no name, entry
+    /// is skipped). A PURL-derived ecosystem wins over the `sourceInfo`
+    /// one.
     pub(crate) fn into_component(self) -> Option<Component> {
-        let name = self.name?;
-        let mut purl = None;
-        let mut cpe = None;
-        for (rtype, locator) in &self.refs {
-            match rtype.as_str() {
-                "purl" => purl = locator.as_deref().and_then(|l| l.parse::<Purl>().ok()),
-                "cpe23Type" => cpe = locator.as_deref().and_then(|l| l.parse::<Cpe>().ok()),
-                _ => {}
-            }
-        }
-        let mut ecosystem = purl
+        let ecosystem = self
+            .purl
             .as_ref()
-            .and_then(|p: &Purl| p.ptype().parse::<Ecosystem>().ok());
-        let mut found_in = String::new();
-        let mut scope = None;
-        if let Some(info) = &self.source_info {
-            for part in info.split(';') {
-                let part = part.trim();
-                if let Some(v) = part.strip_prefix("ecosystem:") {
-                    ecosystem = ecosystem.or_else(|| v.trim().parse().ok());
-                } else if let Some(v) = part.strip_prefix("found_in:") {
-                    found_in = v.trim().to_string();
-                } else if let Some(v) = part.strip_prefix("scope:") {
-                    scope = crate::scope_from_label(v.trim());
-                }
-            }
-        }
-        let mut c = Component::new(ecosystem.unwrap_or(Ecosystem::Python), name, self.version)
-            .with_found_in(found_in);
-        c.purl = purl;
-        c.cpe = cpe;
-        c.scope = scope;
-        c.supplier = self
-            .supplier
-            .as_deref()
-            .and_then(supplier_name)
-            .map(Into::into);
+            .and_then(|p| p.ptype().parse::<Ecosystem>().ok())
+            .or(self.ecosystem);
+        let mut c = Component::interned(
+            ecosystem.unwrap_or(Ecosystem::Python),
+            self.name?,
+            self.version,
+        )
+        .with_found_in(self.found_in.unwrap_or_default());
+        c.purl = self.purl;
+        c.cpe = self.cpe;
+        c.scope = self.scope;
+        c.supplier = self.supplier;
         Some(c)
     }
 }
@@ -195,7 +215,6 @@ pub fn to_string_pretty(sbom: &Sbom) -> String {
 mod tests {
     use super::*;
     use crate::SbomFormat;
-    use sbomdiff_types::DepScope;
 
     fn sample() -> Sbom {
         let mut sbom = Sbom::new("trivy", "0.43.0")
@@ -240,9 +259,9 @@ mod tests {
 
     #[test]
     fn supplier_value_normalization() {
-        assert_eq!(supplier_name("Organization: pypi"), Some("pypi".into()));
-        assert_eq!(supplier_name("Person: Jane Doe"), Some("Jane Doe".into()));
-        assert_eq!(supplier_name("bare-name"), Some("bare-name".into()));
+        assert_eq!(supplier_name("Organization: pypi"), Some("pypi"));
+        assert_eq!(supplier_name("Person: Jane Doe"), Some("Jane Doe"));
+        assert_eq!(supplier_name("bare-name"), Some("bare-name"));
         assert_eq!(supplier_name("NOASSERTION"), None);
         assert_eq!(supplier_name("Organization: NOASSERTION"), None);
         assert_eq!(supplier_name("   "), None);

@@ -17,7 +17,7 @@
 
 use crate::spdx::{creator_tool, subject_from_doc_name, RawSpdxPackage};
 use sbomdiff_textformats::TextError;
-use sbomdiff_types::Sbom;
+use sbomdiff_types::{Component, Sbom, Symbol};
 
 /// Serializes an SBOM as SPDX 2.3 tag-value text (deterministic: the
 /// `Created` timestamp is emitted only when the SBOM carries one — never
@@ -84,7 +84,8 @@ pub(crate) struct Builder {
     doc_name: String,
     created: Option<String>,
     creators: Vec<String>,
-    packages: Vec<RawSpdxPackage>,
+    /// Every package before `current`, materialized.
+    components: Vec<Component>,
     current: Option<RawSpdxPackage>,
     relationships: u64,
     /// Open `<text>` span: the tag awaiting its value plus the lines
@@ -172,25 +173,23 @@ impl Builder {
             }
             "Creator" => self.creators.push(value.to_string()),
             "PackageName" => {
-                let prev = self.current.replace(RawSpdxPackage {
-                    name: Some(value.to_string()),
-                    ..RawSpdxPackage::default()
-                });
-                self.packages.extend(prev);
+                let prev = self.current.replace(RawSpdxPackage::named(value));
+                self.components
+                    .extend(prev.and_then(RawSpdxPackage::into_component));
             }
             "PackageVersion" => {
                 if let Some(pkg) = &mut self.current {
-                    pkg.version = Some(value.to_string());
+                    pkg.version = Some(Symbol::from(value));
                 }
             }
             "PackageSourceInfo" => {
                 if let Some(pkg) = &mut self.current {
-                    pkg.source_info = Some(value.to_string());
+                    pkg.source_info(value);
                 }
             }
             "PackageSupplier" => {
                 if let Some(pkg) = &mut self.current {
-                    pkg.supplier = Some(value.to_string());
+                    pkg.supplier(value);
                 }
             }
             "ExternalRef" => {
@@ -204,8 +203,7 @@ impl Builder {
                     ));
                 };
                 if let Some(pkg) = &mut self.current {
-                    pkg.refs
-                        .push((rtype.to_string(), Some(locator.trim().to_string())));
+                    pkg.external_ref(rtype, Some(locator.trim()));
                 }
             }
             "Relationship" => self.relationships += 1,
@@ -246,11 +244,10 @@ impl Builder {
         let subject = subject_from_doc_name(&self.doc_name, &tool_name);
         let mut sbom = Sbom::new(tool_name, tool_version).with_subject(subject);
         sbom.meta.timestamp = self.created.take();
-        self.packages.extend(self.current.take());
-        for raw in self.packages {
-            if let Some(c) = raw.into_component() {
-                sbom.push(c);
-            }
+        self.components
+            .extend(self.current.take().and_then(RawSpdxPackage::into_component));
+        for c in self.components {
+            sbom.push(c);
         }
         Ok(sbom)
     }
@@ -260,7 +257,7 @@ impl Builder {
 mod tests {
     use super::*;
     use crate::SbomFormat;
-    use sbomdiff_types::{Component, Cpe, DepScope, Ecosystem, Purl};
+    use sbomdiff_types::{Cpe, DepScope, Ecosystem, Purl};
 
     fn parse(text: &str) -> Result<Sbom, TextError> {
         SbomFormat::SpdxTagValue.parse(text)

@@ -4,7 +4,7 @@
 //! and for emitting CycloneDX / SPDX SBOM documents.
 
 use crate::value::Value;
-use crate::{TextError, UnicodeEscape};
+use crate::{simple_escape, string_run, TextError, UnicodeEscape};
 
 /// Parses a JSON document.
 ///
@@ -13,6 +13,7 @@ use crate::{TextError, UnicodeEscape};
 /// Returns a [`TextError`] with the line of the first syntax error.
 pub fn parse(input: &str) -> Result<Value, TextError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -149,6 +150,7 @@ fn write_escaped(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 200;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -223,53 +225,47 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err("invalid number"))
     }
 
+    /// Reads a string token; the opening quote is at the current position.
+    ///
+    /// Runs between escapes are found by [`string_run`] and copied as
+    /// slices of the input `&str`: a run starts after an ASCII byte and
+    /// ends at one, so every slice falls on character boundaries and
+    /// nothing is re-validated. A string without escapes is one copy.
     fn string(&mut self) -> Result<String, TextError> {
         debug_assert_eq!(self.peek(), Some(b'"'));
         self.pos += 1;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            self.pos += string_run(&self.bytes[start..]);
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid utf-8 in string"))?;
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
+                Some(b'"') if out.is_empty() => {
+                    self.pos += 1;
+                    return Ok(run.to_owned());
+                }
                 Some(b'"') => {
+                    out.push_str(run);
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let cp = self.unicode_escape()?;
-                            out.push(cp);
-                            continue;
+                    match self.peek().and_then(simple_escape) {
+                        Some(b) => {
+                            out.push(char::from(b));
+                            self.pos += 1;
                         }
-                        _ => return Err(self.err("invalid escape")),
+                        None if self.peek() == Some(b'u') => out.push(self.unicode_escape()?),
+                        None => return Err(self.err("invalid escape")),
                     }
-                    self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Bulk-copy the run up to the next quote, escape or
-                    // control byte, validating it as UTF-8 once (validating
-                    // the whole remaining buffer per character would make
-                    // string parsing quadratic).
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .unwrap_or(rest.len());
-                    let s = std::str::from_utf8(&rest[..run])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                    self.pos += run;
-                }
+                Some(_) => return Err(self.err("control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }

@@ -53,8 +53,13 @@ pub enum StreamErrorKind {
 }
 
 /// A typed streaming-parse error with position information.
+///
+/// Boxed, so that the `Result` every token comes back in stays small.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamError {
+pub struct StreamError(Box<ErrorInner>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ErrorInner {
     kind: StreamErrorKind,
     line: usize,
     byte_offset: u64,
@@ -70,32 +75,32 @@ impl StreamError {
         byte_offset: u64,
         message: impl Into<String>,
     ) -> Self {
-        StreamError {
+        StreamError(Box::new(ErrorInner {
             kind,
             line,
             byte_offset,
             message: message.into(),
-        }
+        }))
     }
 
     /// The classified failure kind.
     pub fn kind(&self) -> StreamErrorKind {
-        self.kind
+        self.0.kind
     }
 
     /// 1-based line of the failure.
     pub fn line(&self) -> usize {
-        self.line
+        self.0.line
     }
 
     /// Byte offset of the failure within the document.
     pub fn byte_offset(&self) -> u64 {
-        self.byte_offset
+        self.0.byte_offset
     }
 
     /// The error message (position excluded).
     pub fn message(&self) -> &str {
-        &self.message
+        &self.0.message
     }
 }
 
@@ -104,7 +109,7 @@ impl fmt::Display for StreamError {
         write!(
             f,
             "line {}, byte {}: {}",
-            self.line, self.byte_offset, self.message
+            self.0.line, self.0.byte_offset, self.0.message
         )
     }
 }
@@ -174,19 +179,22 @@ impl<R: Read> ChunkSource<R> {
         }
     }
 
+    #[cold]
     fn err(&self, kind: StreamErrorKind, message: impl Into<String>) -> StreamError {
-        StreamError {
-            kind,
-            line: self.line,
-            byte_offset: self.consumed,
-            message: message.into(),
-        }
+        StreamError::new(kind, self.line, self.consumed, message)
     }
 
+    #[inline]
     fn fill(&mut self) -> Result<(), StreamError> {
         if self.start < self.len || self.eof {
             return Ok(());
         }
+        self.refill()
+    }
+
+    /// Reads the next chunk into the window once it is used up.
+    #[cold]
+    fn refill(&mut self) -> Result<(), StreamError> {
         self.start = 0;
         self.len = 0;
         loop {
@@ -210,6 +218,7 @@ impl<R: Read> ChunkSource<R> {
     /// # Errors
     ///
     /// Returns an [`StreamErrorKind::Io`] error when the reader fails.
+    #[inline]
     pub fn peek(&mut self) -> Result<Option<u8>, StreamError> {
         self.fill()?;
         if self.start < self.len {
@@ -224,6 +233,7 @@ impl<R: Read> ChunkSource<R> {
     /// # Errors
     ///
     /// Returns an [`StreamErrorKind::Io`] error when the reader fails.
+    #[inline]
     pub fn next_byte(&mut self) -> Result<Option<u8>, StreamError> {
         self.fill()?;
         if self.start < self.len {
@@ -240,24 +250,39 @@ impl<R: Read> ChunkSource<R> {
     }
 
     /// The currently buffered, unconsumed window (may be empty even before
-    /// EOF; call [`ChunkSource::peek`] first to force a refill).
+    /// EOF; call [`ChunkSource::fill`] first to force a refill).
+    #[inline]
     fn window(&self) -> &[u8] {
         &self.buf[self.start..self.len]
     }
 
-    /// Consumes `n` bytes from the current window (caller guarantees
-    /// `n <= window().len()`), maintaining line accounting.
-    fn advance(&mut self, n: usize) {
-        let slice = &self.buf[self.start..self.start + n];
-        self.line += slice.iter().filter(|&&b| b == b'\n').count();
+    /// Consumes the next byte, which the caller has peeked in the window
+    /// and which is not a line feed.
+    #[inline]
+    fn bump(&mut self) {
+        self.consume(1, 0);
+    }
+
+    /// Consumes `n` bytes of the current window (caller guarantees
+    /// `n <= window().len()`) that hold `newlines` line feeds: every caller
+    /// has already scanned the bytes it consumes, so none is counted twice.
+    #[inline]
+    fn consume(&mut self, n: usize, newlines: usize) {
         self.start += n;
         self.consumed += n as u64;
+        self.line += newlines;
     }
 }
 
-/// One JSON syntax event produced by [`JsonStream`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonEvent {
+/// One JSON token produced by [`JsonStream`].
+///
+/// Tokens are `Copy` and carry no text: the text of a [`JsonToken::Key`]
+/// or [`JsonToken::Str`] sits in the stream's one reused buffer, read with
+/// [`JsonStream::text`] until the next token. Reading, matching or skipping
+/// a string therefore allocates nothing once that buffer has grown to the
+/// document's longest string.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum JsonToken {
     /// `{`
     ObjectStart,
     /// `}`
@@ -266,10 +291,10 @@ pub enum JsonEvent {
     ArrayStart,
     /// `]`
     ArrayEnd,
-    /// An object key (the following event is its value).
-    Key(String),
+    /// An object key (the following token is its value).
+    Key,
     /// A string value.
-    Str(String),
+    Str,
     /// A number value.
     Num(f64),
     /// A boolean value.
@@ -302,14 +327,19 @@ enum Expect {
 
 /// A pull-based JSON tokenizer (RFC 8259) over a [`ChunkSource`].
 ///
-/// Emits a flat stream of [`JsonEvent`]s; the caller reconstructs exactly
+/// Emits a flat stream of [`JsonToken`]s; the caller reconstructs exactly
 /// the subtrees it cares about and skips the rest, so memory stays bounded
 /// by [`ChunkSource::peak_buffered`] no matter how large the document is.
 pub struct JsonStream<R> {
     src: ChunkSource<R>,
     stack: Vec<Container>,
     expect: Expect,
-    scratch: Vec<u8>,
+    /// The one token buffer: the text of the last key or string, or the
+    /// literal of the last number. A string is decoded into its bytes and
+    /// validated as UTF-8 once, at the closing quote.
+    text: String,
+    /// The first error, returned again by every later call.
+    failed: Option<StreamError>,
 }
 
 impl<R: Read> JsonStream<R> {
@@ -325,7 +355,8 @@ impl<R: Read> JsonStream<R> {
             src,
             stack: Vec::new(),
             expect: Expect::Value,
-            scratch: Vec::new(),
+            text: String::new(),
+            failed: None,
         }
     }
 
@@ -349,175 +380,199 @@ impl<R: Read> JsonStream<R> {
         self.stack.len()
     }
 
+    /// The text of the last [`JsonToken::Key`] or [`JsonToken::Str`]
+    /// (after a [`JsonToken::Num`], the number's literal). Valid until the
+    /// next call to [`JsonStream::next_token`].
+    #[inline]
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
     fn err(&self, kind: StreamErrorKind, message: impl Into<String>) -> StreamError {
         self.src.err(kind, message)
     }
 
-    fn skip_ws(&mut self) -> Result<(), StreamError> {
+    /// Skips whitespace a window at a time and returns the byte after it,
+    /// unconsumed (`None` at end of input).
+    #[inline]
+    fn skip_ws(&mut self) -> Result<Option<u8>, StreamError> {
         loop {
-            match self.src.peek()? {
-                Some(b' ' | b'\t' | b'\n' | b'\r') => {
-                    self.src.next_byte()?;
+            self.src.fill()?;
+            let window = self.src.window();
+            let (mut n, mut newlines) = (0, 0);
+            while let Some(&b) = window.get(n) {
+                match b {
+                    b'\n' => newlines += 1,
+                    b' ' | b'\t' | b'\r' => {}
+                    _ => {
+                        self.src.consume(n, newlines);
+                        return Ok(Some(b));
+                    }
                 }
-                _ => return Ok(()),
+                n += 1;
             }
+            // An empty window after `fill` means end of input.
+            if n == 0 {
+                return Ok(None);
+            }
+            self.src.consume(n, newlines);
         }
     }
 
-    /// The next event, or `None` once the document completed cleanly.
+    /// The next token, or `None` once the document completed cleanly.
     ///
-    /// After the first `None` (or any error) the stream stays finished.
+    /// After the first `None` the stream stays finished, and after the
+    /// first error every call returns that error again.
     ///
     /// # Errors
     ///
     /// Returns a typed [`StreamError`] on malformed input, EOF inside a
     /// token or container, depth/token-length cap violations, invalid
     /// UTF-8, or reader failure.
-    pub fn next_event(&mut self) -> Result<Option<JsonEvent>, StreamError> {
-        self.skip_ws()?;
-        match self.expect {
-            Expect::End => match self.src.peek()? {
-                None => Ok(None),
-                Some(_) => Err(self.err(
-                    StreamErrorKind::Syntax,
-                    "trailing characters after document",
-                )),
-            },
-            Expect::Value | Expect::ValueOrEnd => {
-                if self.expect == Expect::ValueOrEnd && self.src.peek()? == Some(b']') {
-                    self.src.next_byte()?;
-                    return self.close(Container::Array).map(Some);
-                }
-                self.value().map(Some)
-            }
-            Expect::KeyOrEnd | Expect::Key => {
-                match self.src.peek()? {
-                    Some(b'}') if self.expect == Expect::KeyOrEnd => {
-                        self.src.next_byte()?;
-                        return self.close(Container::Object).map(Some);
-                    }
-                    Some(b'"') => {}
-                    Some(_) => return Err(self.err(StreamErrorKind::Syntax, "expected string key")),
-                    None => {
-                        return Err(self.err(
-                            StreamErrorKind::UnexpectedEof,
-                            "unexpected end of input inside object",
-                        ))
+    pub fn next_token(&mut self) -> Result<Option<JsonToken>, StreamError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let token = self.token();
+        if let Err(e) = &token {
+            self.failed = Some(e.clone());
+        }
+        token
+    }
+
+    /// The tokenizer behind [`JsonStream::next_token`], which alone reads
+    /// it, so that no caller can read on past an error.
+    #[inline]
+    fn token(&mut self) -> Result<Option<JsonToken>, StreamError> {
+        loop {
+            let next = self.skip_ws()?;
+            match self.expect {
+                Expect::End => {
+                    return match next {
+                        None => Ok(None),
+                        Some(_) => Err(self.err(
+                            StreamErrorKind::Syntax,
+                            "trailing characters after document",
+                        )),
                     }
                 }
-                let key = self.string()?;
-                self.skip_ws()?;
-                match self.src.peek()? {
-                    Some(b':') => {
-                        self.src.next_byte()?;
+                Expect::Value | Expect::ValueOrEnd => {
+                    if self.expect == Expect::ValueOrEnd && next == Some(b']') {
+                        self.src.bump();
+                        return Ok(Some(self.close(Container::Array)));
                     }
-                    Some(_) => return Err(self.err(StreamErrorKind::Syntax, "expected ':'")),
-                    None => {
-                        return Err(self.err(
-                            StreamErrorKind::UnexpectedEof,
-                            "unexpected end of input after key",
-                        ))
-                    }
+                    return self.value(next).map(Some);
                 }
-                self.expect = Expect::Value;
-                Ok(Some(JsonEvent::Key(key)))
-            }
-            Expect::CommaOrEnd => {
-                let top = match self.stack.last() {
-                    Some(&top) => top,
-                    None => {
+                Expect::KeyOrEnd | Expect::Key => {
+                    match next {
+                        Some(b'}') if self.expect == Expect::KeyOrEnd => {
+                            self.src.bump();
+                            return Ok(Some(self.close(Container::Object)));
+                        }
+                        Some(b'"') => {}
+                        Some(_) => {
+                            return Err(self.err(StreamErrorKind::Syntax, "expected string key"))
+                        }
+                        None => {
+                            return Err(self.err(
+                                StreamErrorKind::UnexpectedEof,
+                                "unexpected end of input inside object",
+                            ))
+                        }
+                    }
+                    self.string()?;
+                    match self.skip_ws()? {
+                        Some(b':') => self.src.bump(),
+                        Some(_) => return Err(self.err(StreamErrorKind::Syntax, "expected ':'")),
+                        None => {
+                            return Err(self.err(
+                                StreamErrorKind::UnexpectedEof,
+                                "unexpected end of input after key",
+                            ))
+                        }
+                    }
+                    self.expect = Expect::Value;
+                    return Ok(Some(JsonToken::Key));
+                }
+                Expect::CommaOrEnd => {
+                    let Some(&top) = self.stack.last() else {
                         // Value complete at top level: only whitespace may
                         // remain.
                         self.expect = Expect::End;
-                        return self.next_event();
+                        continue;
+                    };
+                    match (next, top) {
+                        (Some(b','), Container::Object) => {
+                            self.src.bump();
+                            self.expect = Expect::Key;
+                        }
+                        (Some(b','), Container::Array) => {
+                            self.src.bump();
+                            self.expect = Expect::Value;
+                        }
+                        (Some(b'}'), Container::Object) | (Some(b']'), Container::Array) => {
+                            self.src.bump();
+                            return Ok(Some(self.close(top)));
+                        }
+                        (Some(_), Container::Object) => {
+                            return Err(self.err(StreamErrorKind::Syntax, "expected ',' or '}'"))
+                        }
+                        (Some(_), Container::Array) => {
+                            return Err(self.err(StreamErrorKind::Syntax, "expected ',' or ']'"))
+                        }
+                        (None, _) => {
+                            return Err(self.err(
+                                StreamErrorKind::UnexpectedEof,
+                                "unexpected end of input inside container",
+                            ))
+                        }
                     }
-                };
-                match (self.src.peek()?, top) {
-                    (Some(b','), Container::Object) => {
-                        self.src.next_byte()?;
-                        self.expect = Expect::Key;
-                        self.next_event()
-                    }
-                    (Some(b','), Container::Array) => {
-                        self.src.next_byte()?;
-                        self.expect = Expect::Value;
-                        self.next_event()
-                    }
-                    (Some(b'}'), Container::Object) => {
-                        self.src.next_byte()?;
-                        self.close(Container::Object).map(Some)
-                    }
-                    (Some(b']'), Container::Array) => {
-                        self.src.next_byte()?;
-                        self.close(Container::Array).map(Some)
-                    }
-                    (Some(_), Container::Object) => {
-                        Err(self.err(StreamErrorKind::Syntax, "expected ',' or '}'"))
-                    }
-                    (Some(_), Container::Array) => {
-                        Err(self.err(StreamErrorKind::Syntax, "expected ',' or ']'"))
-                    }
-                    (None, _) => Err(self.err(
-                        StreamErrorKind::UnexpectedEof,
-                        "unexpected end of input inside container",
-                    )),
                 }
             }
         }
     }
 
-    fn close(&mut self, expected: Container) -> Result<JsonEvent, StreamError> {
+    fn close(&mut self, expected: Container) -> JsonToken {
         // The caller only reaches here from states where the top matches.
         debug_assert_eq!(self.stack.last(), Some(&expected));
         self.stack.pop();
         self.expect = Expect::CommaOrEnd;
-        Ok(match expected {
-            Container::Object => JsonEvent::ObjectEnd,
-            Container::Array => JsonEvent::ArrayEnd,
-        })
-    }
-
-    fn value(&mut self) -> Result<JsonEvent, StreamError> {
-        match self.src.peek()? {
-            Some(b'{') => {
-                self.src.next_byte()?;
-                if self.stack.len() >= MAX_DEPTH {
-                    return Err(self.err(
-                        StreamErrorKind::DepthExceeded,
-                        "maximum nesting depth exceeded",
-                    ));
-                }
-                self.stack.push(Container::Object);
-                self.expect = Expect::KeyOrEnd;
-                Ok(JsonEvent::ObjectStart)
-            }
-            Some(b'[') => {
-                self.src.next_byte()?;
-                if self.stack.len() >= MAX_DEPTH {
-                    return Err(self.err(
-                        StreamErrorKind::DepthExceeded,
-                        "maximum nesting depth exceeded",
-                    ));
-                }
-                self.stack.push(Container::Array);
-                self.expect = Expect::ValueOrEnd;
-                Ok(JsonEvent::ArrayStart)
-            }
-            Some(b'"') => {
-                let s = self.string()?;
-                self.expect = Expect::CommaOrEnd;
-                Ok(JsonEvent::Str(s))
-            }
-            Some(b't') => self.literal("true", JsonEvent::Bool(true)),
-            Some(b'f') => self.literal("false", JsonEvent::Bool(false)),
-            Some(b'n') => self.literal("null", JsonEvent::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err(StreamErrorKind::Syntax, "unexpected character")),
-            None => Err(self.err(StreamErrorKind::UnexpectedEof, "unexpected end of input")),
+        match expected {
+            Container::Object => JsonToken::ObjectEnd,
+            Container::Array => JsonToken::ArrayEnd,
         }
     }
 
-    fn literal(&mut self, text: &str, event: JsonEvent) -> Result<JsonEvent, StreamError> {
+    /// Starts a value whose first byte, `next`, is peeked but unconsumed.
+    fn value(&mut self, next: Option<u8>) -> Result<JsonToken, StreamError> {
+        let (container, token, expect) = match next {
+            Some(b'{') => (Container::Object, JsonToken::ObjectStart, Expect::KeyOrEnd),
+            Some(b'[') => (Container::Array, JsonToken::ArrayStart, Expect::ValueOrEnd),
+            Some(b'"') => {
+                self.string()?;
+                self.expect = Expect::CommaOrEnd;
+                return Ok(JsonToken::Str);
+            }
+            Some(b't') => return self.literal("true", JsonToken::Bool(true)),
+            Some(b'f') => return self.literal("false", JsonToken::Bool(false)),
+            Some(b'n') => return self.literal("null", JsonToken::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => return self.number(),
+            Some(_) => return Err(self.err(StreamErrorKind::Syntax, "unexpected character")),
+            None => return Err(self.err(StreamErrorKind::UnexpectedEof, "unexpected end of input")),
+        };
+        self.src.bump();
+        if self.stack.len() >= MAX_DEPTH {
+            return Err(self.err(
+                StreamErrorKind::DepthExceeded,
+                "maximum nesting depth exceeded",
+            ));
+        }
+        self.stack.push(container);
+        self.expect = expect;
+        Ok(token)
+    }
+
+    fn literal(&mut self, text: &str, token: JsonToken) -> Result<JsonToken, StreamError> {
         for expected in text.bytes() {
             match self.src.next_byte()? {
                 Some(b) if b == expected => {}
@@ -531,82 +586,90 @@ impl<R: Read> JsonStream<R> {
             }
         }
         self.expect = Expect::CommaOrEnd;
-        Ok(event)
+        Ok(token)
     }
 
-    fn number(&mut self) -> Result<JsonEvent, StreamError> {
-        self.scratch.clear();
+    fn number(&mut self) -> Result<JsonToken, StreamError> {
+        self.text.clear();
         if self.src.peek()? == Some(b'-') {
             self.src.next_byte()?;
-            self.scratch.push(b'-');
+            self.text.push('-');
         }
         while let Some(b) = self.src.peek()? {
             if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
                 self.src.next_byte()?;
-                self.scratch.push(b);
-                if self.scratch.len() > MAX_TOKEN {
+                self.text.push(char::from(b));
+                if self.text.len() > MAX_TOKEN {
                     return Err(self.err(StreamErrorKind::TokenTooLong, "number token too long"));
                 }
             } else {
                 break;
             }
         }
-        self.src.note_scratch(self.scratch.len());
-        let text = std::str::from_utf8(&self.scratch)
-            .map_err(|_| self.err(StreamErrorKind::Utf8, "invalid utf-8 in number"))?;
-        let n: f64 = text
+        self.src.note_scratch(self.text.len());
+        let n: f64 = self
+            .text
             .parse()
             .map_err(|_| self.err(StreamErrorKind::Syntax, "invalid number"))?;
         self.expect = Expect::CommaOrEnd;
-        Ok(JsonEvent::Num(n))
+        Ok(JsonToken::Num(n))
     }
 
-    /// Parses a string token; the opening quote is at the current position.
-    fn string(&mut self) -> Result<String, StreamError> {
-        self.src.next_byte()?; // opening '"'
-        self.scratch.clear();
+    /// Reads a string token into the text buffer; the opening quote is at
+    /// the current position. The buffer is taken as bytes for the read,
+    /// because a multi-byte sequence may straddle a refill, and handed
+    /// back as text once it validates.
+    fn string(&mut self) -> Result<(), StreamError> {
+        self.src.bump(); // opening '"'
+        let mut bytes = std::mem::take(&mut self.text).into_bytes();
+        bytes.clear();
+        self.string_bytes(&mut bytes)?;
+        self.src.note_scratch(bytes.len());
+        self.text = String::from_utf8(bytes)
+            .map_err(|_| self.err(StreamErrorKind::Utf8, "invalid utf-8 in string"))?;
+        Ok(())
+    }
+
+    /// Decodes string content through the closing quote into `out`.
+    fn string_bytes(&mut self, out: &mut Vec<u8>) -> Result<(), StreamError> {
         loop {
-            self.check_token_len()?;
+            self.check_token_len(out.len())?;
             // Bulk-copy the run up to the next quote, escape or control
-            // byte inside the current window, capped so the scratch buffer
-            // overshoots MAX_TOKEN by at most one byte; multi-byte
-            // sequences may straddle the window edge, so UTF-8 validation
-            // happens once at token end.
+            // byte inside the current window, capped so the buffer
+            // overshoots MAX_TOKEN by at most one byte. A run holds no
+            // line feed, so consuming it leaves the line count alone.
             self.src.fill()?;
             let window = self.src.window();
-            if !window.is_empty() {
-                let run = window
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                    .unwrap_or(window.len())
-                    .min(MAX_TOKEN + 1 - self.scratch.len());
-                if run > 0 {
-                    self.scratch.extend_from_slice(&window[..run]);
-                    self.src.advance(run);
-                    continue;
+            let run = crate::string_run(window).min(MAX_TOKEN + 1 - out.len());
+            if run > 0 {
+                out.extend_from_slice(&window[..run]);
+                // The common case: the closing quote is in the window too.
+                if window.get(run) == Some(&b'"') && out.len() <= MAX_TOKEN {
+                    self.src.consume(run + 1, 0);
+                    return Ok(());
                 }
+                self.src.consume(run, 0);
+                continue;
             }
             match self.src.next_byte()? {
                 None => return Err(self.err(StreamErrorKind::UnexpectedEof, "unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => self.escape()?,
+                Some(b'"') => return Ok(()),
+                Some(b'\\') => self.escape(out)?,
                 Some(b) if b < 0x20 => {
                     return Err(self.err(StreamErrorKind::Syntax, "control character in string"))
                 }
                 // Unreachable: the bulk run consumed everything else.
-                Some(b) => self.scratch.push(b),
+                Some(b) => out.push(b),
             }
         }
-        self.src.note_scratch(self.scratch.len());
-        String::from_utf8(std::mem::take(&mut self.scratch))
-            .map_err(|_| self.err(StreamErrorKind::Utf8, "invalid utf-8 in string"))
     }
 
-    /// Records the string scratch for peak accounting and enforces the
+    /// Records the token buffer for peak accounting and enforces the
     /// [`MAX_TOKEN`] cap on it.
-    fn check_token_len(&mut self) -> Result<(), StreamError> {
-        self.src.note_scratch(self.scratch.len());
-        if self.scratch.len() > MAX_TOKEN {
+    #[inline]
+    fn check_token_len(&mut self, len: usize) -> Result<(), StreamError> {
+        self.src.note_scratch(len);
+        if len > MAX_TOKEN {
             return Err(self.err(
                 StreamErrorKind::TokenTooLong,
                 format!("string token exceeds {MAX_TOKEN} bytes"),
@@ -615,54 +678,43 @@ impl<R: Read> JsonStream<R> {
         Ok(())
     }
 
-    fn push_char(&mut self, c: char) {
-        let mut buf = [0u8; 4];
-        self.scratch
-            .extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-    }
-
-    fn escape(&mut self) -> Result<(), StreamError> {
+    fn escape(&mut self, out: &mut Vec<u8>) -> Result<(), StreamError> {
         match self.src.next_byte()? {
-            Some(b'"') => self.scratch.push(b'"'),
-            Some(b'\\') => self.scratch.push(b'\\'),
-            Some(b'/') => self.scratch.push(b'/'),
-            Some(b'b') => self.scratch.push(0x08),
-            Some(b'f') => self.scratch.push(0x0c),
-            Some(b'n') => self.scratch.push(b'\n'),
-            Some(b'r') => self.scratch.push(b'\r'),
-            Some(b't') => self.scratch.push(b'\t'),
-            Some(b'u') => self.unicode_escape()?,
-            Some(_) => return Err(self.err(StreamErrorKind::Syntax, "invalid escape")),
-            None => {
-                return Err(self.err(
-                    StreamErrorKind::UnexpectedEof,
-                    "unexpected end of input in escape",
-                ))
-            }
+            Some(b'u') => self.unicode_escape(out),
+            Some(b) => match crate::simple_escape(b) {
+                Some(decoded) => {
+                    out.push(decoded);
+                    Ok(())
+                }
+                None => Err(self.err(StreamErrorKind::Syntax, "invalid escape")),
+            },
+            None => Err(self.err(
+                StreamErrorKind::UnexpectedEof,
+                "unexpected end of input in escape",
+            )),
         }
-        Ok(())
     }
 
     /// Handles `\uXXXX` (the `\u` is already consumed) through the shared
     /// [`UnicodeEscape`] policy. The stream cannot rewind, so it reads the
     /// escape that follows before deciding; when the two do not pair, that
     /// escape decodes on the next round.
-    fn unicode_escape(&mut self) -> Result<(), StreamError> {
+    fn unicode_escape(&mut self, out: &mut Vec<u8>) -> Result<(), StreamError> {
         let mut unit = self.hex4()?;
         loop {
-            self.check_token_len()?;
+            self.check_token_len(out.len())?;
             let mut next = None;
             if self.src.peek()? == Some(b'\\') {
                 self.src.next_byte()?;
                 if self.src.peek()? != Some(b'u') {
-                    self.push_char(UnicodeEscape::decode(unit, None).char());
-                    return self.escape();
+                    push_char(out, UnicodeEscape::decode(unit, None).char());
+                    return self.escape(out);
                 }
                 self.src.next_byte()?;
                 next = Some(self.hex4()?);
             }
             let decoded = UnicodeEscape::decode(unit, next);
-            self.push_char(decoded.char());
+            push_char(out, decoded.char());
             match next {
                 Some(n) if !matches!(decoded, UnicodeEscape::Pair(_)) => unit = n,
                 _ => return Ok(()),
@@ -688,6 +740,11 @@ impl<R: Read> JsonStream<R> {
     }
 }
 
+fn push_char(out: &mut Vec<u8>, c: char) {
+    let mut buf = [0u8; 4];
+    out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+}
+
 /// A bounded-memory line reader over a [`ChunkSource`], for line-oriented
 /// formats (SPDX tag-value). Lines are returned without their terminator;
 /// `\r\n` and `\n` both end a line. A line longer than [`MAX_TOKEN`] is a
@@ -695,7 +752,8 @@ impl<R: Read> JsonStream<R> {
 /// [`StreamErrorKind::Utf8`] errors.
 pub struct LineReader<R> {
     src: ChunkSource<R>,
-    scratch: Vec<u8>,
+    /// The one line buffer, reused for every line.
+    line: String,
 }
 
 impl<R: Read> LineReader<R> {
@@ -709,7 +767,7 @@ impl<R: Read> LineReader<R> {
     pub fn from_source(src: ChunkSource<R>) -> Self {
         LineReader {
             src,
-            scratch: Vec::new(),
+            line: String::new(),
         }
     }
 
@@ -728,20 +786,22 @@ impl<R: Read> LineReader<R> {
         self.src.peak_buffered()
     }
 
-    /// The next line, or `None` at EOF.
+    /// The next line, or `None` at EOF. The line borrows the reader's one
+    /// reused buffer, valid until the next call.
     ///
     /// # Errors
     ///
     /// Returns a typed [`StreamError`] on over-long lines, invalid UTF-8,
     /// or reader failure.
-    pub fn next_line(&mut self) -> Result<Option<String>, StreamError> {
+    pub fn next_line(&mut self) -> Result<Option<&str>, StreamError> {
         if self.src.peek()?.is_none() {
             return Ok(None);
         }
-        self.scratch.clear();
+        let mut bytes = std::mem::take(&mut self.line).into_bytes();
+        bytes.clear();
         loop {
-            self.src.note_scratch(self.scratch.len());
-            if self.scratch.len() > MAX_TOKEN {
+            self.src.note_scratch(bytes.len());
+            if bytes.len() > MAX_TOKEN {
                 return Err(self.src.err(
                     StreamErrorKind::TokenTooLong,
                     format!("line exceeds {MAX_TOKEN} bytes"),
@@ -750,35 +810,29 @@ impl<R: Read> LineReader<R> {
             self.src.fill()?;
             let window = self.src.window();
             if window.is_empty() {
-                if self.src.peek()?.is_none() {
-                    break; // final line without terminator
-                }
-                continue;
+                break; // final line without terminator
             }
-            match window
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|p| p.min(MAX_TOKEN + 1 - self.scratch.len()))
-            {
-                Some(pos) if pos + self.scratch.len() <= MAX_TOKEN => {
-                    self.scratch.extend_from_slice(&window[..pos]);
-                    self.src.advance(pos + 1); // consume the '\n' too
+            let room = MAX_TOKEN + 1 - bytes.len();
+            match window.iter().position(|&b| b == b'\n') {
+                Some(pos) if pos < room => {
+                    bytes.extend_from_slice(&window[..pos]);
+                    self.src.consume(pos + 1, 1); // the '\n' too
                     break;
                 }
                 _ => {
-                    let take = window.len().min(MAX_TOKEN + 1 - self.scratch.len());
-                    self.scratch.extend_from_slice(&window[..take]);
-                    self.src.advance(take);
+                    let take = window.len().min(room);
+                    bytes.extend_from_slice(&window[..take]);
+                    self.src.consume(take, 0);
                 }
             }
         }
-        if self.scratch.last() == Some(&b'\r') {
-            self.scratch.pop();
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
         }
-        self.src.note_scratch(self.scratch.len());
-        let line = String::from_utf8(std::mem::take(&mut self.scratch))
+        self.src.note_scratch(bytes.len());
+        self.line = String::from_utf8(bytes)
             .map_err(|_| self.src.err(StreamErrorKind::Utf8, "invalid utf-8 in line"))?;
-        Ok(Some(line))
+        Ok(Some(&self.line))
     }
 }
 
@@ -786,66 +840,148 @@ impl<R: Read> LineReader<R> {
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<JsonEvent>, StreamError> {
-        events_chunked(input, DEFAULT_CHUNK)
+    /// A token with the text it carries (empty for tokens without text).
+    type Owned = (JsonToken, String);
+
+    fn tok(t: JsonToken) -> Owned {
+        (t, String::new())
     }
 
-    fn events_chunked(input: &str, chunk: usize) -> Result<Vec<JsonEvent>, StreamError> {
-        let src = ChunkSource::with_chunk_size(input.as_bytes(), chunk);
+    fn key(k: &str) -> Owned {
+        (JsonToken::Key, k.into())
+    }
+
+    fn st(v: &str) -> Owned {
+        (JsonToken::Str, v.into())
+    }
+
+    fn tokens(input: &str) -> Result<Vec<Owned>, StreamError> {
+        tokens_chunked(input.as_bytes(), DEFAULT_CHUNK)
+    }
+
+    fn tokens_chunked(input: &[u8], chunk: usize) -> Result<Vec<Owned>, StreamError> {
+        let src = ChunkSource::with_chunk_size(input, chunk);
         let mut stream = JsonStream::from_source(src);
         let mut out = Vec::new();
-        while let Some(ev) = stream.next_event()? {
-            out.push(ev);
+        while let Some(t) = stream.next_token()? {
+            let text = match t {
+                JsonToken::Key | JsonToken::Str => stream.text().to_string(),
+                _ => String::new(),
+            };
+            out.push((t, text));
         }
         Ok(out)
     }
 
     #[test]
     fn tokenizes_scalars() {
-        assert_eq!(events("null").unwrap(), vec![JsonEvent::Null]);
-        assert_eq!(events("true").unwrap(), vec![JsonEvent::Bool(true)]);
-        assert_eq!(events("-1.5e2").unwrap(), vec![JsonEvent::Num(-150.0)]);
-        assert_eq!(
-            events(r#""hi""#).unwrap(),
-            vec![JsonEvent::Str("hi".into())]
-        );
+        assert_eq!(tokens("null").unwrap(), vec![tok(JsonToken::Null)]);
+        assert_eq!(tokens("true").unwrap(), vec![tok(JsonToken::Bool(true))]);
+        assert_eq!(tokens("-1.5e2").unwrap(), vec![tok(JsonToken::Num(-150.0))]);
+        assert_eq!(tokens(r#""hi""#).unwrap(), vec![st("hi")]);
     }
 
     #[test]
     fn tokenizes_nested_document() {
-        let evs = events(r#"{"a": [1, {"b": null}], "c": "x"}"#).unwrap();
+        let toks = tokens(r#"{"a": [1, {"b": null}], "c": "x"}"#).unwrap();
         assert_eq!(
-            evs,
+            toks,
             vec![
-                JsonEvent::ObjectStart,
-                JsonEvent::Key("a".into()),
-                JsonEvent::ArrayStart,
-                JsonEvent::Num(1.0),
-                JsonEvent::ObjectStart,
-                JsonEvent::Key("b".into()),
-                JsonEvent::Null,
-                JsonEvent::ObjectEnd,
-                JsonEvent::ArrayEnd,
-                JsonEvent::Key("c".into()),
-                JsonEvent::Str("x".into()),
-                JsonEvent::ObjectEnd,
+                tok(JsonToken::ObjectStart),
+                key("a"),
+                tok(JsonToken::ArrayStart),
+                tok(JsonToken::Num(1.0)),
+                tok(JsonToken::ObjectStart),
+                key("b"),
+                tok(JsonToken::Null),
+                tok(JsonToken::ObjectEnd),
+                tok(JsonToken::ArrayEnd),
+                key("c"),
+                st("x"),
+                tok(JsonToken::ObjectEnd),
             ]
+        );
+    }
+
+    #[test]
+    fn text_borrows_one_reused_buffer() {
+        let doc = r#"{"alpha": "a longer string value", "b": 12, "c": "x"}"#;
+        let mut stream = JsonStream::new(doc.as_bytes());
+        let mut texts = Vec::new();
+        while let Some(t) = stream.next_token().unwrap() {
+            if matches!(t, JsonToken::Key | JsonToken::Str) {
+                texts.push(stream.text().to_string());
+            }
+        }
+        assert_eq!(texts, ["alpha", "a longer string value", "b", "c", "x"]);
+        // Peak accounting sees the longest token, not a sum of tokens.
+        assert_eq!(
+            stream.peak_buffered(),
+            DEFAULT_CHUNK + "a longer string value".len()
         );
     }
 
     #[test]
     fn chunk_boundaries_are_transparent() {
         let doc = r#"{"name": "héllo wörld ✓ 😀", "n": 12345, "esc": "aéb😀c"}"#;
-        let want = events(doc).unwrap();
+        let want = tokens(doc).unwrap();
         // Chunk size is clamped to >= 512, so pad the document so tokens
         // really do straddle refills.
         let pad = "x".repeat(700);
         let padded = format!(r#"{{"pad": "{pad}", "inner": {doc}}}"#);
-        let a = events_chunked(&padded, 512).unwrap();
-        let b = events_chunked(&padded, 8192).unwrap();
+        let a = tokens_chunked(padded.as_bytes(), 512).unwrap();
+        let b = tokens_chunked(padded.as_bytes(), 8192).unwrap();
         assert_eq!(a, b);
-        // Events: ObjectStart, Key(pad), Str(pad), Key(inner), <inner doc>.
+        // Tokens: ObjectStart, Key(pad), Str(pad), Key(inner), <inner doc>.
         assert_eq!(&a[4..4 + want.len()], &want[..]);
+    }
+
+    #[test]
+    fn runs_escapes_and_utf8_straddle_words_and_refills() {
+        // Three pieces, each written across a 512-byte refill: a plain
+        // run, escapes (a surrogate pair and `\n`) and multi-byte UTF-8.
+        // `shift` slides each piece across its refill and lengthens the
+        // plain run before it, which moves the piece through every
+        // alignment of the 8-byte words the run scan reads.
+        let pieces = [
+            (512, "0123456789ab", "0123456789ab"),
+            (1024, "\\ud83d\\ude00\\n", "😀\n"),
+            (1536, "é😀", "é😀"),
+        ];
+        for shift in 0..24 {
+            let mut doc = String::from("[");
+            let mut want = vec![tok(JsonToken::ArrayStart)];
+            for (refill, raw, decoded) in pieces {
+                let before = "r".repeat(33 + shift);
+                // The piece starts `into` bytes before the refill and ends
+                // after it.
+                let into = 1 + shift % (raw.len() - 1);
+                let start = refill - into;
+                let filler = " ".repeat(start - doc.len() - 4 - before.len());
+                doc.push_str(&format!("\"{filler}\",\"{before}"));
+                assert_eq!(doc.len(), start);
+                doc.push_str(raw);
+                doc.push_str("end\",");
+                want.push(st(&filler));
+                want.push(st(&format!("{before}{decoded}end")));
+            }
+            doc.pop();
+            doc.push(']');
+            want.push(tok(JsonToken::ArrayEnd));
+            for chunk in [512, DEFAULT_CHUNK] {
+                let got = tokens_chunked(doc.as_bytes(), chunk).unwrap();
+                assert_eq!(got, want, "shift {shift}, chunk {chunk}");
+            }
+            let parsed = crate::json::parse(&doc).unwrap();
+            let strings: Vec<&str> = parsed
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_str().unwrap())
+                .collect();
+            let texts: Vec<&str> = want.iter().map(|(_, t)| t.as_str()).collect();
+            assert_eq!(strings, texts[1..texts.len() - 1], "shift {shift}");
+        }
     }
 
     #[test]
@@ -870,8 +1006,8 @@ mod tests {
             ("\"a\\ude00\\ud83db\"", "a\u{FFFD}\u{FFFD}b"),
         ];
         for (doc, want) in cases {
-            let evs = events(doc).unwrap();
-            assert_eq!(evs, vec![JsonEvent::Str(want.into())], "{doc}");
+            let toks = tokens(doc).unwrap();
+            assert_eq!(toks, vec![st(want)], "{doc}");
             // Cross-check against the in-memory parser.
             let v = crate::json::parse(doc).unwrap();
             assert_eq!(v.as_str(), Some(want), "{doc}");
@@ -879,8 +1015,8 @@ mod tests {
             // can straddle a refill boundary.
             let pad = "x".repeat(700);
             let padded = format!(r#"{{"pad": "{pad}", "s": {doc}}}"#);
-            let evs = events_chunked(&padded, 512).unwrap();
-            assert_eq!(evs[4], JsonEvent::Str(want.into()), "{doc} (chunked)");
+            let toks = tokens_chunked(padded.as_bytes(), 512).unwrap();
+            assert_eq!(toks[4], st(want), "{doc} (chunked)");
         }
     }
 
@@ -900,29 +1036,40 @@ mod tests {
             (r#"{"a": 1,}"#, StreamErrorKind::Syntax),
             ("[1 2]", StreamErrorKind::Syntax),
         ] {
-            let err = events(doc).unwrap_err();
+            let err = tokens(doc).unwrap_err();
             assert_eq!(err.kind(), kind, "{doc:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_error_is_final() {
+        // Resuming after the bad escape would read `", "` as a string.
+        for doc in [r#"["a\q", "after"]"#, r#"{"k": tru, "z": 1}"#] {
+            let mut stream = JsonStream::new(doc.as_bytes());
+            let first = loop {
+                match stream.next_token() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{doc:?} accepted"),
+                    Err(e) => break e,
+                }
+            };
+            for _ in 0..3 {
+                assert_eq!(stream.next_token(), Err(first.clone()), "{doc:?}");
+            }
         }
     }
 
     #[test]
     fn rejects_invalid_utf8() {
         let bytes = b"\"ab\xff\xfecd\"";
-        let mut stream = JsonStream::new(&bytes[..]);
-        let err = loop {
-            match stream.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("accepted invalid utf-8"),
-                Err(e) => break e,
-            }
-        };
+        let err = tokens_chunked(bytes, DEFAULT_CHUNK).unwrap_err();
         assert_eq!(err.kind(), StreamErrorKind::Utf8);
     }
 
     #[test]
     fn depth_is_bounded() {
         let doc = "[".repeat(MAX_DEPTH + 10);
-        let err = events(&doc).unwrap_err();
+        let err = tokens(&doc).unwrap_err();
         assert_eq!(err.kind(), StreamErrorKind::DepthExceeded);
     }
 
@@ -932,7 +1079,7 @@ mod tests {
         let src = ChunkSource::with_chunk_size(doc.as_bytes(), 4096);
         let mut stream = JsonStream::from_source(src);
         let err = loop {
-            match stream.next_event() {
+            match stream.next_token() {
                 Ok(Some(_)) => {}
                 Ok(None) => panic!("accepted over-long token"),
                 Err(e) => break e,
@@ -945,7 +1092,7 @@ mod tests {
 
     #[test]
     fn error_reports_line_and_offset() {
-        let err = events("{\n\"a\": \n@}").unwrap_err();
+        let err = tokens("{\n\"a\": \n@}").unwrap_err();
         assert_eq!(err.line(), 3);
         assert_eq!(err.byte_offset(), 8);
         assert!(err.to_string().contains("line 3"));
@@ -963,7 +1110,7 @@ mod tests {
         doc.push(']');
         let src = ChunkSource::with_chunk_size(doc.as_bytes(), 1024);
         let mut stream = JsonStream::from_source(src);
-        while let Some(_ev) = stream.next_event().unwrap() {}
+        while let Some(_t) = stream.next_token().unwrap() {}
         assert_eq!(stream.bytes_read(), doc.len() as u64);
         assert!(stream.peak_buffered() < 1024 + 64, "small tokens only");
     }
@@ -971,9 +1118,11 @@ mod tests {
     #[test]
     fn line_reader_handles_terminators_and_eof() {
         let mut r = LineReader::new("a\nb\r\nc".as_bytes());
-        assert_eq!(r.next_line().unwrap().as_deref(), Some("a"));
-        assert_eq!(r.next_line().unwrap().as_deref(), Some("b"));
-        assert_eq!(r.next_line().unwrap().as_deref(), Some("c"));
+        assert_eq!(r.next_line().unwrap(), Some("a"));
+        assert_eq!(r.line(), 2);
+        assert_eq!(r.next_line().unwrap(), Some("b"));
+        assert_eq!(r.next_line().unwrap(), Some("c"));
+        assert_eq!(r.line(), 3);
         assert_eq!(r.next_line().unwrap(), None);
         assert_eq!(r.next_line().unwrap(), None);
         assert_eq!(r.bytes_read(), 6);
@@ -984,9 +1133,9 @@ mod tests {
         let text = "first\n\nthird\n";
         let src = ChunkSource::with_chunk_size(text.as_bytes(), 512);
         let mut r = LineReader::from_source(src);
-        assert_eq!(r.next_line().unwrap().as_deref(), Some("first"));
-        assert_eq!(r.next_line().unwrap().as_deref(), Some(""));
-        assert_eq!(r.next_line().unwrap().as_deref(), Some("third"));
+        assert_eq!(r.next_line().unwrap(), Some("first"));
+        assert_eq!(r.next_line().unwrap(), Some(""));
+        assert_eq!(r.next_line().unwrap(), Some("third"));
         assert_eq!(r.next_line().unwrap(), None);
     }
 
@@ -999,7 +1148,7 @@ mod tests {
             StreamErrorKind::TokenTooLong
         );
         let mut r = LineReader::new(&b"ok\n\xff\xfe\n"[..]);
-        assert_eq!(r.next_line().unwrap().as_deref(), Some("ok"));
+        assert_eq!(r.next_line().unwrap(), Some("ok"));
         assert_eq!(r.next_line().unwrap_err().kind(), StreamErrorKind::Utf8);
     }
 
@@ -1027,15 +1176,15 @@ mod tests {
             pos: 0,
             interrupted: false,
         };
-        let evs = {
+        let toks = {
             let mut stream = JsonStream::new(flaky);
             let mut out = Vec::new();
-            while let Some(ev) = stream.next_event().unwrap() {
-                out.push(ev);
+            while let Some(t) = stream.next_token().unwrap() {
+                out.push(t);
             }
             out
         };
-        assert_eq!(evs.len(), 7);
+        assert_eq!(toks.len(), 7);
     }
 
     #[test]
@@ -1047,7 +1196,7 @@ mod tests {
             }
         }
         let mut stream = JsonStream::new(Broken);
-        let err = stream.next_event().unwrap_err();
+        let err = stream.next_token().unwrap_err();
         assert_eq!(err.kind(), StreamErrorKind::Io);
         assert!(err.message().contains("disk on fire"));
     }

@@ -134,24 +134,28 @@ fn canonical_field(s: &str) -> String {
     out
 }
 
-fn split_unescaped_colons(s: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut escape = false;
-    for c in s.chars() {
-        if escape {
-            cur.push('\\');
-            cur.push(c);
-            escape = false;
-        } else if c == '\\' {
-            escape = true;
-        } else if c == ':' {
-            fields.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
+/// Splits a formatted string at colons that no backslash escapes. Escapes
+/// stay in the fields; a lone backslash at the very end is dropped.
+fn split_unescaped_colons(s: &str) -> Vec<&str> {
+    let bytes = s.as_bytes();
+    let mut fields = Vec::with_capacity(13);
+    let (mut start, mut i) = (0, 0);
+    while i < bytes.len() {
+        match bytes[i] {
+            // Skips the escaped byte; a multi-byte character's other bytes
+            // are never `:` or `\`.
+            b'\\' => i += 2,
+            b':' => {
+                fields.push(&s[start..i]);
+                start = i + 1;
+                i += 1;
+            }
+            _ => i += 1,
         }
     }
-    fields.push(cur);
+    // `i` overshoots the end by one after a lone trailing backslash.
+    let end = if i > bytes.len() { bytes.len() - 1 } else { i };
+    fields.push(&s[start..end]);
     fields
 }
 
@@ -190,16 +194,16 @@ impl FromStr for Cpe {
             .ok_or_else(|| ParseError::new(s, "invalid cpe part"))?;
         Ok(Cpe {
             part,
-            vendor: fields[3].clone(),
-            product: fields[4].clone(),
-            version: fields[5].clone(),
-            update: fields[6].clone(),
-            edition: fields[7].clone(),
-            language: fields[8].clone(),
-            sw_edition: fields[9].clone(),
-            target_sw: fields[10].clone(),
-            target_hw: fields[11].clone(),
-            other: fields[12].clone(),
+            vendor: fields[3].into(),
+            product: fields[4].into(),
+            version: fields[5].into(),
+            update: fields[6].into(),
+            edition: fields[7].into(),
+            language: fields[8].into(),
+            sw_edition: fields[9].into(),
+            target_sw: fields[10].into(),
+            target_hw: fields[11].into(),
+            other: fields[12].into(),
         })
     }
 }
@@ -246,6 +250,14 @@ mod tests {
         assert!("cpe:2.3:a:only:three".parse::<Cpe>().is_err());
         assert!("cpe:/a:legacy:uri:1.0".parse::<Cpe>().is_err());
         assert!("not-a-cpe".parse::<Cpe>().is_err());
+    }
+
+    #[test]
+    fn split_keeps_escapes_and_drops_a_trailing_lone_backslash() {
+        assert_eq!(split_unescaped_colons("a\\:b:c"), ["a\\:b", "c"]);
+        assert_eq!(split_unescaped_colons("x:\\é:y\\"), ["x", "\\é", "y"]);
+        assert_eq!(split_unescaped_colons(":\\"), ["", ""]);
+        assert_eq!(split_unescaped_colons(""), [""]);
     }
 
     #[test]

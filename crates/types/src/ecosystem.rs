@@ -115,19 +115,28 @@ impl fmt::Display for Ecosystem {
 impl FromStr for Ecosystem {
     type Err = ParseError;
 
+    /// Case-insensitive; compares in place rather than lowercasing a copy,
+    /// since ingest parses one per PURL.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "python" | "pypi" | "pip" => Ok(Ecosystem::Python),
-            "javascript" | "js" | "npm" | "node" => Ok(Ecosystem::JavaScript),
-            "ruby" | "gem" | "rubygems" => Ok(Ecosystem::Ruby),
-            "php" | "composer" | "packagist" => Ok(Ecosystem::Php),
-            "java" | "maven" | "gradle" => Ok(Ecosystem::Java),
-            "go" | "golang" => Ok(Ecosystem::Go),
-            "rust" | "cargo" | "crates" => Ok(Ecosystem::Rust),
-            "swift" | "cocoapods" | "pods" => Ok(Ecosystem::Swift),
-            ".net" | "dotnet" | "csharp" | "c#" | "nuget" => Ok(Ecosystem::DotNet),
-            _ => Err(ParseError::new(s, "unknown ecosystem")),
-        }
+        const NAMES: [(Ecosystem, &[&str]); 9] = [
+            (Ecosystem::Python, &["python", "pypi", "pip"]),
+            (Ecosystem::JavaScript, &["javascript", "js", "npm", "node"]),
+            (Ecosystem::Ruby, &["ruby", "gem", "rubygems"]),
+            (Ecosystem::Php, &["php", "composer", "packagist"]),
+            (Ecosystem::Java, &["java", "maven", "gradle"]),
+            (Ecosystem::Go, &["go", "golang"]),
+            (Ecosystem::Rust, &["rust", "cargo", "crates"]),
+            (Ecosystem::Swift, &["swift", "cocoapods", "pods"]),
+            (
+                Ecosystem::DotNet,
+                &[".net", "dotnet", "csharp", "c#", "nuget"],
+            ),
+        ];
+        NAMES
+            .iter()
+            .find(|(_, names)| names.iter().any(|n| n.eq_ignore_ascii_case(s)))
+            .map(|&(eco, _)| eco)
+            .ok_or_else(|| ParseError::new(s, "unknown ecosystem"))
     }
 }
 

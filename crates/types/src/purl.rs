@@ -4,6 +4,7 @@
 //! consistent naming and vulnerability-database compatibility. This module
 //! implements the `pkg:` scheme: `pkg:type/namespace/name@version?qualifiers#subpath`.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -207,7 +208,9 @@ fn pct_encode(s: &str, extra_ok: &[char]) -> String {
     out
 }
 
-fn pct_decode(s: &str) -> String {
+/// Percent-decodes `s`, borrowing it when it holds no `%` (as almost
+/// every PURL field does).
+fn pct_decode(s: &str) -> Cow<'_, str> {
     fn hex(b: u8) -> Option<u8> {
         match b {
             b'0'..=b'9' => Some(b - b'0'),
@@ -215,6 +218,9 @@ fn pct_decode(s: &str) -> String {
             b'A'..=b'F' => Some(b - b'A' + 10),
             _ => None,
         }
+    }
+    if !s.contains('%') {
+        return Cow::Borrowed(s);
     }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -230,7 +236,7 @@ fn pct_decode(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    Cow::Owned(String::from_utf8_lossy(&out).into_owned())
 }
 
 impl fmt::Display for Purl {
@@ -280,7 +286,7 @@ impl FromStr for Purl {
 
         let (rest, subpath) = match rest.split_once('#') {
             Some((r, sp)) => {
-                let decoded: Vec<String> = sp.split('/').map(pct_decode).collect();
+                let decoded: Vec<Cow<'_, str>> = sp.split('/').map(pct_decode).collect();
                 (r, Some(decoded.join("/")))
             }
             None => (rest, None),
@@ -293,7 +299,10 @@ impl FromStr for Purl {
                         // Decode the key *after* splitting on the raw `=`,
                         // mirroring the encode side: encoded `%3D`/`%26` in
                         // keys never collide with the separators.
-                        quals.push((pct_decode(k).to_ascii_lowercase(), pct_decode(v)));
+                        quals.push((
+                            pct_decode(k).to_ascii_lowercase(),
+                            pct_decode(v).into_owned(),
+                        ));
                     }
                 }
                 (r, quals)
@@ -308,28 +317,28 @@ impl FromStr for Purl {
             _ => (rest, None),
         };
 
-        let segments: Vec<&str> = rest.split('/').filter(|s| !s.is_empty()).collect();
-        if segments.len() < 2 {
+        // Empty segments (doubled or trailing slashes) do not count.
+        let mut segments = rest.split('/').filter(|s| !s.is_empty());
+        let (Some(ptype), Some(name)) = (segments.next(), segments.next_back()) else {
             return Err(ParseError::new(s, "purl needs at least type and name"));
-        }
-        let ptype = segments[0].to_ascii_lowercase();
-        let name = pct_decode(segments[segments.len() - 1]);
-        let namespace = if segments.len() > 2 {
-            Some(
-                segments[1..segments.len() - 1]
-                    .iter()
-                    .map(|p| pct_decode(p))
-                    .collect::<Vec<_>>()
-                    .join("/"),
-            )
-        } else {
-            None
+        };
+        let namespace = match (segments.next(), segments.next()) {
+            (None, _) => None,
+            (Some(only), None) => Some(Symbol::from(&*pct_decode(only))),
+            (Some(first), Some(second)) => {
+                let mut joined = pct_decode(first).into_owned();
+                for segment in std::iter::once(second).chain(segments) {
+                    joined.push('/');
+                    joined.push_str(&pct_decode(segment));
+                }
+                Some(Symbol::from(joined))
+            }
         };
         Ok(Purl {
-            ptype: ptype.into(),
-            namespace: namespace.map(Symbol::from),
-            name: name.into(),
-            version: version.map(Symbol::from),
+            ptype: ptype.to_ascii_lowercase().into(),
+            namespace,
+            name: Symbol::from(&*pct_decode(name)),
+            version: version.map(|v| Symbol::from(&*v)),
             qualifiers,
             subpath,
         })
