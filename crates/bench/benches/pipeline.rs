@@ -40,8 +40,8 @@ fn corpus(regs: &Registries, repos_per_language: usize) -> Vec<RepoFs> {
     repos
 }
 
-/// Raw parse cost: every metadata file of a repo set, cold cache vs the
-/// same files served out of a warmed cache.
+/// Raw parse cost: every metadata file of a repo set, each parsed once
+/// through a fresh scan of its repository.
 fn bench_parse(c: &mut Criterion) {
     let regs = Registries::generate(99);
     let mut group = c.benchmark_group("pipeline_parse");
@@ -51,32 +51,12 @@ fn bench_parse(c: &mut Criterion) {
         group.throughput(Throughput::Elements(files as u64));
         group.bench_function(format!("cold_{label}"), |b| {
             b.iter(|| {
-                let cache = ParseCache::new();
+                let counters = ParseCache::new();
                 let mut deps = 0usize;
                 for repo in &repos {
-                    for (path, kind) in repo.metadata_files() {
-                        deps += cache
-                            .parse(black_box(repo), path, kind, ReqStyle::TrivySyft)
-                            .len();
-                    }
-                }
-                deps
-            })
-        });
-        let warmed = ParseCache::new();
-        for repo in &repos {
-            for (path, kind) in repo.metadata_files() {
-                warmed.parse(repo, path, kind, ReqStyle::TrivySyft);
-            }
-        }
-        group.bench_function(format!("warm_{label}"), |b| {
-            b.iter(|| {
-                let mut deps = 0usize;
-                for repo in &repos {
-                    for (path, kind) in repo.metadata_files() {
-                        deps += warmed
-                            .parse(black_box(repo), path, kind, ReqStyle::TrivySyft)
-                            .len();
+                    let scan = ScanContext::new(black_box(repo), &counters);
+                    for &(path, kind) in scan.files() {
+                        deps += scan.parsed(path, kind, ReqStyle::TrivySyft).len();
                     }
                 }
                 deps
@@ -108,10 +88,10 @@ fn bench_emulate(c: &mut Criterion) {
         });
         group.bench_function(format!("shared_{label}"), |b| {
             b.iter(|| {
-                let cache = ParseCache::new();
+                let counters = ParseCache::new();
                 let mut total = 0usize;
                 for repo in &repos {
-                    let scan = ScanContext::new(black_box(repo), &cache);
+                    let scan = ScanContext::new(black_box(repo), &counters);
                     for tool in &tools {
                         total += tool.generate_with_scan(&scan).len();
                     }
@@ -131,11 +111,11 @@ fn bench_diff(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_diff");
     for (label, n) in SIZES {
         let repos = corpus(&regs, n);
-        let cache = ParseCache::new();
+        let counters = ParseCache::new();
         let sboms: Vec<[Sbom; 4]> = repos
             .iter()
             .map(|repo| {
-                let scan = ScanContext::new(repo, &cache);
+                let scan = ScanContext::new(repo, &counters);
                 [
                     tools[0].generate_with_scan(&scan),
                     tools[1].generate_with_scan(&scan),

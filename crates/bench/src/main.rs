@@ -5,22 +5,13 @@
 //!   repository and parses every metadata file itself
 //!   (`ToolEmulator::scan_isolated`, which is also the differential
 //!   property-test oracle).
-//! * **after (cold)** — the shared-scan pipeline starting from an empty
-//!   `ParseCache`: one `ScanContext` per repository, every profile
-//!   deriving its SBOM from the shared parses, all parses paid once.
-//! * **after (steady)** — the shared-scan pipeline with a *persistent*
-//!   `ParseCache`, measured after a warm-up pass. This is the deployed
-//!   configuration: `sbomdiff-serve` and the corpus experiment driver
-//!   keep one cache across requests/runs, so re-analysis of unchanged
-//!   manifests is the common case. The content-hash key guarantees a
-//!   stale parse can never be served (see `crates/generators/src/cache.rs`),
-//!   and `warm_cache_preserves_outputs` in the property suite pins warm
-//!   output ≡ cold output byte-for-byte.
+//! * **after** — the shared-scan pipeline: one `ScanContext` per
+//!   repository, every profile deriving its SBOM from the shared parses,
+//!   each file parsed once per dialect.
 //!
-//! All paths produce byte-identical SBOMs (enforced by
-//! `crates/generators/tests/shared_scan_props.rs`), so the ratios are pure
-//! pipeline overhead. The headline `speedup` is the steady-state ratio;
-//! `speedup_cold` is reported alongside. Usage:
+//! Both paths produce byte-identical SBOMs (enforced by
+//! `crates/generators/tests/shared_scan_props.rs`), so the `speedup` ratio
+//! is pure pipeline overhead. Usage:
 //!
 //! ```text
 //! cargo run --release -p sbomdiff-bench -- [--repos N] [--iters K] [--out PATH]
@@ -114,19 +105,13 @@ fn run_isolated(tools: &[ToolEmulator<'_>], repos: &[RepoFs]) -> (usize, f64) {
     (components, jaccard_sum)
 }
 
-/// One shared-path corpus pass from an empty cache (cold).
-fn run_shared_cold(tools: &[ToolEmulator<'_>], repos: &[RepoFs]) -> (usize, f64) {
-    run_shared(tools, repos, &ParseCache::new())
-}
-
-/// One shared-path corpus pass over a caller-owned cache: one walk +
-/// shared parses per repository, parses reused across passes when the
-/// cache persists (the steady-state / service configuration).
-fn run_shared(tools: &[ToolEmulator<'_>], repos: &[RepoFs], cache: &ParseCache) -> (usize, f64) {
+/// One shared-path corpus pass: one walk and shared parses per repository.
+fn run_shared(tools: &[ToolEmulator<'_>], repos: &[RepoFs]) -> (usize, f64) {
+    let counters = ParseCache::new();
     let mut components = 0usize;
     let mut jaccard_sum = 0.0;
     for repo in repos {
-        let scan = ScanContext::new(repo, cache);
+        let scan = ScanContext::new(repo, &counters);
         let cells: Vec<Sbom> = tools.iter().map(|t| t.generate_with_scan(&scan)).collect();
         components += cells.iter().map(Sbom::len).sum::<usize>();
         jaccard_sum += pairwise(&cells);
@@ -177,31 +162,18 @@ fn main() {
         let files: usize = repos.iter().map(|r| r.metadata_files().len()).sum();
 
         let (before, components) = time_ms(|| run_isolated(&tools, &repos), args.iters);
-        let (after_cold, cold_components) = time_ms(|| run_shared_cold(&tools, &repos), args.iters);
-        // Steady state: the cache outlives the passes, so the untimed
-        // warm-up inside time_ms fills it and the timed passes measure the
-        // persistent-cache configuration sbomdiff-serve runs in.
-        let persistent = ParseCache::new();
-        let (after_warm, warm_components) =
-            time_ms(|| run_shared(&tools, &repos, &persistent), args.iters);
+        let (after, shared_components) = time_ms(|| run_shared(&tools, &repos), args.iters);
         assert_eq!(
-            components, cold_components,
+            components, shared_components,
             "shared scan changed the corpus output"
-        );
-        assert_eq!(
-            components, warm_components,
-            "warm cache changed the corpus output"
         );
 
         let before_median = median(before.clone());
-        let cold_median = median(after_cold.clone());
-        let warm_median = median(after_warm.clone());
-        let speedup_cold = before_median / cold_median;
-        let speedup = before_median / warm_median;
+        let after_median = median(after.clone());
+        let speedup = before_median / after_median;
         println!(
             "{label:8} {:3} repos {files:5} files  before {before_median:8.2} ms  \
-             cold {cold_median:8.2} ms ({speedup_cold:.2}x)  \
-             steady {warm_median:8.2} ms ({speedup:.2}x)",
+             after {after_median:8.2} ms ({speedup:.2}x)",
             repos.len()
         );
 
@@ -211,9 +183,7 @@ fn main() {
         row.set("metadata_files", Value::from(files as i64));
         row.set("components", Value::from(components as i64));
         row.set("before_ms", stats(&before));
-        row.set("after_cold_ms", stats(&after_cold));
-        row.set("after_ms", stats(&after_warm));
-        row.set("speedup_cold", Value::from(speedup_cold));
+        row.set("after_ms", stats(&after));
         row.set("speedup", Value::from(speedup));
         scenarios.push(row);
     }
@@ -224,9 +194,8 @@ fn main() {
         "description",
         Value::from(
             "4-profile corpus experiment (emulate + pairwise diff): isolated \
-             per-profile parses (before) vs shared ScanContext over a fresh \
-             cache (after_cold) and over a persistent warmed cache \
-             (after, the deployed steady-state configuration)",
+             per-profile parses (before) vs one shared ScanContext per \
+             repository (after)",
         ),
     );
     let mut config = Value::object();

@@ -76,8 +76,8 @@ pub const PAPER_LANGUAGE_COUNTS: [(Ecosystem, usize); 9] = [
     (Ecosystem::JavaScript, 660),
 ];
 
-/// Shared experiment state: registries, corpus, the shared metadata-parse
-/// cache, an SBOM cache, and the per-phase profiler.
+/// Shared experiment state: registries, corpus, the metadata-parse
+/// counters, an SBOM cache, and the per-phase profiler.
 pub struct Context {
     /// Configuration in effect.
     pub config: Config,
@@ -156,8 +156,8 @@ impl Context {
     /// SBOMs of all four studied tools for every repo of a language
     /// (cached). The first call per language fans out one work item per
     /// repository; each worker builds one [`ScanContext`] (one walk, one
-    /// parse per file) and derives all four profiles' SBOMs from it, with
-    /// parse results shared across repositories through the [`ParseCache`].
+    /// parse per file and dialect) and derives all four profiles' SBOMs
+    /// from it, counting its parses in the run's [`ParseCache`].
     /// Deterministic: each SBOM depends only on the repository content and
     /// tool profile (the flaky sbom-tool registry is seeded per
     /// `(repository, tool)`), so worker count and scheduling never change
@@ -202,11 +202,7 @@ impl Context {
     /// never contain wall-clock values, so outputs stay reproducible.
     pub fn report_timing(&self) {
         eprintln!("{}", self.profiler.report(self.jobs));
-        eprintln!(
-            "parse cache: {} entries, {}",
-            self.parse_cache.len(),
-            self.parse_cache.stats()
-        );
+        eprintln!("parse cache: {}", self.parse_cache.stats());
     }
 
     fn write(&self, file: &str, content: &str) {

@@ -66,7 +66,7 @@ impl SbomGenerator for BestPracticeGenerator<'_> {
 impl BestPracticeGenerator<'_> {
     /// Derives the best-practice SBOM from a shared scan: the walk and the
     /// reference parses come from the [`crate::ScanContext`], shared with
-    /// every other request or generator using the same cache.
+    /// every other generator scanning through it.
     /// Byte-identical to [`generate`](SbomGenerator::generate).
     pub fn generate_with_scan(&self, scan: &crate::ScanContext<'_>) -> Sbom {
         self.generate_from(scan.repo(), scan.files(), &|path, kind| {
@@ -222,7 +222,7 @@ fn push_component(
 /// Dispatches to the reference (spec-faithful) parser for a file — the
 /// grammar family the best-practice generator uses, as opposed to the
 /// tool-dialect parsers of `emulator::parse_with_style`. Results are
-/// stamped with path and ecosystem, ready for caching.
+/// stamped with path and ecosystem, ready for sharing.
 pub(crate) fn parse_reference(repo: &RepoFs, path: &str, kind: MetadataKind) -> Parsed {
     // Fault point: the reference parse has no tool dialect to degrade into,
     // so both injected errors and injected corruption fail the file with a

@@ -125,15 +125,6 @@ impl SbomGenerator for ToolEmulator<'_> {
 }
 
 impl ToolEmulator<'_> {
-    /// Scans `repo` reusing (and populating) a shared metadata-parse
-    /// cache — the differential pipeline scans every repository with four
-    /// tools, and the cache makes each manifest parse happen once per
-    /// dialect instead of once per tool. Byte-identical to
-    /// [`generate`](SbomGenerator::generate).
-    pub fn generate_with_cache(&self, repo: &RepoFs, cache: &crate::ParseCache) -> Sbom {
-        self.generate_with_scan(&crate::ScanContext::new(repo, cache))
-    }
-
     /// Derives this profile's SBOM from a shared scan: the file walk and
     /// every parse are shared with the other profiles scanning through the
     /// same [`crate::ScanContext`]; only this profile's quirks (support
@@ -446,8 +437,9 @@ fn merge(sbom: Sbom) -> Sbom {
 }
 
 /// Dispatches to the right parser for a file, honoring the requirements
-/// dialect (the only profile-dependent parser input — which is what makes
-/// the [`crate::ParseCache`] keying sound).
+/// dialect (the only profile-dependent parser input — which is why
+/// [`crate::ScanContext`] shares one parse of every other kind among all
+/// profiles).
 pub(crate) fn parse_with_style(
     repo: &RepoFs,
     path: &str,

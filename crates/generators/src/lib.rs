@@ -15,17 +15,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bestpractice;
-pub mod cache;
 pub mod emulator;
 pub mod profile;
 pub mod scan;
 pub mod support;
 
 pub use bestpractice::BestPracticeGenerator;
-pub use cache::ParseCache;
 pub use emulator::ToolEmulator;
 pub use profile::{GoVersionStyle, JavaNaming, SubspecNaming, ToolProfile, VersionPolicy};
-pub use scan::ScanContext;
+pub use scan::{ParseCache, ScanContext};
 pub use support::SupportMatrix;
 
 use sbomdiff_metadata::RepoFs;
@@ -144,5 +142,6 @@ mod tests {
         assert_send_sync::<ToolEmulator<'static>>();
         assert_send_sync::<BestPracticeGenerator<'static>>();
         assert_send_sync::<ParseCache>();
+        assert_send_sync::<ScanContext<'static>>();
     }
 }

@@ -47,9 +47,9 @@ pub struct AppState {
     pub cache: ResponseCache,
     /// The metrics registry.
     pub metrics: Metrics,
-    /// Parsed-metadata cache shared across requests. Keys hash file
-    /// *content*, so two requests reusing a repository name can never see
-    /// each other's stale parses — a rewritten manifest re-parses.
+    /// Parse counters of every `/v1/analyze` scan, `/v1/batch` entries
+    /// included. Each request parses its own files and shares them only
+    /// among its tools, so no parse outlives its request.
     pub parse_cache: ParseCache,
     /// Per-`(ecosystem, package)` advisory cache shared across
     /// `/v1/impact` requests (keyed on database fingerprints, so seeds
@@ -124,7 +124,7 @@ pub fn handle(state: &AppState, request: &Request, queue_depth: usize) -> Respon
                 ("sbomdiff_cache", "Analysis cache", state.cache.stats()),
                 (
                     "sbomdiff_parse_cache",
-                    "Shared parse-cache",
+                    "Per-scan parse memo",
                     state.parse_cache.stats(),
                 ),
                 (
@@ -230,8 +230,8 @@ pub(crate) fn execute_miss(
 /// (at most [`MAX_BATCH_REQUESTS`] entries). Each entry routes through the
 /// same cached execution path as a standalone POST — repeated payloads
 /// across batches (or within one) are answered from the response cache, and
-/// `/v1/analyze` entries share the PR-4 `ScanContext`/interner machinery
-/// through the process-wide parse cache. An invalid entry yields a per-entry
+/// each `/v1/analyze` entry scans through its own `ScanContext`, as a
+/// standalone request does. An invalid entry yields a per-entry
 /// 400 row rather than failing the whole batch; only a malformed envelope
 /// is a top-level 400.
 ///
@@ -362,11 +362,8 @@ fn analyze(state: &AppState, doc: &Value) -> Response {
 
     let registries = state.registries(seed);
     let tools = sbomdiff_generators::studied_tools(&registries, 0.0);
-    // One walk, one parse per manifest: every profile (and the optional
-    // best-practice reference) scans through a shared context backed by
-    // the process-wide cache, so repeat requests over unchanged manifests
-    // reuse earlier parses while mutated files re-parse (content-hashed
-    // keys).
+    // One walk, one parse per manifest and dialect: every profile (and the
+    // optional best-practice reference) scans through one shared context.
     let scan = ScanContext::new(&repo, &state.parse_cache);
     let mut ids = Vec::new();
     let mut sboms: Vec<Sbom> = Vec::new();
@@ -1068,7 +1065,7 @@ mod tests {
             doc.pointer("scan/metadata_files").and_then(Value::as_i64),
             Some(2)
         );
-        // The shared parse cache actually memoized across the four tools.
+        // The scan shared its parses among the four tools.
         assert!(state.parse_cache.hits() > 0);
     }
 
@@ -1076,12 +1073,13 @@ mod tests {
     fn rewritten_manifest_is_reanalyzed_not_served_stale() {
         let _plan = no_other_plan();
         // Same repository name, same path, different bytes across two
-        // requests against one long-lived state: the content-hashed parse
-        // cache must serve the *new* parse, not the memo of the first.
+        // requests against one long-lived state: the second must see the
+        // *new* parse, not the first request's.
         let state = state();
         let old = r#"{"name":"demo","seed":7,"include_sboms":true,"files":{"requirements.txt":"numpy==1.19.2\n"}}"#;
         let new = r#"{"name":"demo","seed":7,"include_sboms":true,"files":{"requirements.txt":"numpy==1.25.0\n"}}"#;
         let first = handle(&state, &post("/v1/analyze", old), 0);
+        let first_misses = state.parse_cache.misses();
         let second = handle(&state, &post("/v1/analyze", new), 0);
         assert_eq!(first.status, 200);
         assert_eq!(second.status, 200);
@@ -1096,11 +1094,12 @@ mod tests {
         let rewritten = embedded(&second);
         assert!(rewritten.contains("1.25.0"), "{rewritten}");
         assert!(!rewritten.contains("1.19.2"), "stale parse served");
-        // The unchanged request replays as pure cache hits…
+        // Replaying the first request parses its files afresh, exactly as
+        // the first time, and answers the same bytes.
         let misses_before = state.parse_cache.misses();
         let replay = handle(&state, &post("/v1/analyze", old), 0);
         assert_eq!(replay.body, first.body);
-        assert_eq!(state.parse_cache.misses(), misses_before);
+        assert_eq!(state.parse_cache.misses(), misses_before + first_misses);
     }
 
     #[test]

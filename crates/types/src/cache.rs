@@ -1,10 +1,10 @@
 //! One sharded, cost-bounded LRU cache.
 //!
-//! sbomdiff memoizes three kinds of answers that many callers ask for at
-//! once: metadata parses (`sbomdiff-generators`), whole HTTP responses
-//! (`sbomdiff-service`) and per-package advisory slices (`sbomdiff-vuln`).
-//! [`Sharded`] holds all three. Each caller chooses its key and what an
-//! entry costs (bytes, or 1 per response); the cache owns everything else:
+//! sbomdiff memoizes two kinds of answers that many callers ask for at
+//! once: whole HTTP responses (`sbomdiff-service`) and per-package
+//! advisory slices (`sbomdiff-vuln`). [`Sharded`] holds both. Each caller
+//! chooses its key and what an entry costs (bytes, or 1 per response); the
+//! cache owns everything else:
 //!
 //! * **Shards.** 16 mutexes, picked by std's SipHash of the key (fixed
 //!   keys, so a key lands in the same shard on every run of one build).
@@ -192,18 +192,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-    }
-
-    /// Counts a hit answered without a lookup (a caller-side memo in front
-    /// of the cache).
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a miss that bypassed the cache (the caller computed the
-    /// answer without looking it up).
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter snapshot.

@@ -17,7 +17,9 @@
 //! ingester (CycloneDX 1.4/1.5 JSON, SPDX 2.2/2.3 JSON or tag-value — the
 //! sides need not share a format) and prints the differential report.
 
-use sbomdiff::generators::{BestPracticeGenerator, ParseCache, SbomGenerator, ToolEmulator};
+use sbomdiff::generators::{
+    BestPracticeGenerator, ParseCache, SbomGenerator, ScanContext, ToolEmulator,
+};
 use sbomdiff::metadata::RepoFs;
 use sbomdiff::registry::Registries;
 use sbomdiff::sbomfmt::{ingest, SbomFormat};
@@ -218,10 +220,10 @@ fn main() {
             let tools = sbomdiff::generators::studied_tools(&registries, 0.0);
             // One worker per tool, one shared parse of each manifest.
             let jobs = sbomdiff::parallel::Jobs::new(jobs).get();
-            let cache = ParseCache::new();
-            let sboms = sbomdiff::parallel::par_map(jobs, &tools, |_, t| {
-                t.generate_with_cache(&repo, &cache)
-            });
+            let counters = ParseCache::new();
+            let scan = ScanContext::new(&repo, &counters);
+            let sboms =
+                sbomdiff::parallel::par_map(jobs, &tools, |_, t| t.generate_with_scan(&scan));
             let mut counts = TextTable::new(["Tool", "components", "duplicates", "diagnostics"]);
             for (t, s) in tools.iter().zip(&sboms) {
                 counts.row([

@@ -11,7 +11,9 @@
 
 use sbomdiff::corpus::{Corpus, CorpusConfig};
 use sbomdiff::diff::key_set;
-use sbomdiff::generators::{studied_tools, BestPracticeGenerator, ParseCache, SbomGenerator};
+use sbomdiff::generators::{
+    studied_tools, BestPracticeGenerator, ParseCache, SbomGenerator, ScanContext,
+};
 use sbomdiff::registry::Registries;
 use sbomdiff::sbomfmt::ingest::{ingest_bytes, ingest_reader, IngestOptions};
 use sbomdiff::sbomfmt::SbomFormat;
@@ -87,13 +89,13 @@ fn parallel_emit_is_byte_identical_then_reingests() {
     );
     let tools = studied_tools(&regs, 0.0);
     let emit = |jobs: usize| -> Vec<String> {
-        let cache = ParseCache::new();
+        let counters = ParseCache::new();
         repos
             .iter()
             .flat_map(|repo| {
-                let sboms = sbomdiff::parallel::par_map(jobs, &tools, |_, t| {
-                    t.generate_with_cache(repo, &cache)
-                });
+                let scan = ScanContext::new(repo, &counters);
+                let sboms =
+                    sbomdiff::parallel::par_map(jobs, &tools, |_, t| t.generate_with_scan(&scan));
                 sboms
                     .iter()
                     .map(|s| SbomFormat::CycloneDx.serialize(s))
